@@ -9,7 +9,7 @@
 // RANDCAST keeps missing at every age.
 #include <cstdio>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "bench_common.hpp"
 #include "common/histogram.hpp"
 #include "common/table.hpp"
@@ -50,7 +50,7 @@ int run(const bench::Scale& scale, double churnRate,
                             /*maxChurnCycles=*/50'000, /*quiet=*/true);
     auto collect = [&](Strategy strategy, std::uint32_t fanout,
                        CountHistogram& into) {
-      const auto study = analysis::measureMissLifetimes(
+      const auto study = analysis::ParallelSweep().measureMissLifetimes(
           scenario, strategy, fanout, scale.runs,
           scale.seed + e * 10 + fanout);
       into.merge(study.missedLifetimes);

@@ -38,7 +38,7 @@ void BM_GossipCycle(benchmark::State& state) {
   // One settle cycle brings scratch buffers and queues to their steady
   // capacity; the timed loop then measures the zero-allocation regime.
   scenario.runCycles(1);
-  const std::uint64_t sentBefore = scenario.castTransport().sent();
+  const std::uint64_t sentBefore = scenario.gossipMessagesSent();
   const vs07::AllocScope allocs;
   for (auto _ : state) scenario.runCycles(1);
   // Snapshot before touching state.counters: the counter map itself
@@ -51,10 +51,10 @@ void BM_GossipCycle(benchmark::State& state) {
   state.counters["allocs_per_cycle"] =
       static_cast<double>(allocDelta) / cycles;
   state.counters["msgs_per_cycle"] =
-      static_cast<double>(scenario.castTransport().sent() - sentBefore) /
+      static_cast<double>(scenario.gossipMessagesSent() - sentBefore) /
       cycles;
   state.counters["msgs_per_sec"] = benchmark::Counter(
-      static_cast<double>(scenario.castTransport().sent() - sentBefore),
+      static_cast<double>(scenario.gossipMessagesSent() - sentBefore),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GossipCycle)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMillisecond);

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <functional>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "bench_common.hpp"
 #include "cast/snapshot.hpp"
 #include "common/table.hpp"
@@ -97,7 +97,7 @@ int run(const bench::Scale& scale) {
             ++k;
           }
         }
-        const auto point = analysis::measureEffectiveness(
+        const auto point = analysis::ParallelSweep().measureEffectiveness(
             cast::snapshotGraph(graph, alive), Strategy::kFlood, 1, 1,
             killRng());
         missPerRep[rep] = point.avgMissPercent;

@@ -12,7 +12,7 @@
 //   $ ./software_update [--nodes 800] [--churn 0.005]
 #include <cstdio>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "analysis/scenario.hpp"
 #include "common/cli.hpp"
 #include "common/histogram.hpp"
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scenario.churnCycles()));
 
   // Push `pushes` updates from random origins and classify the misses.
-  const auto study = analysis::measureMissLifetimes(
+  const auto study = analysis::ParallelSweep().measureMissLifetimes(
       scenario, Strategy::kRingCast, /*fanout=*/3, pushes, /*seed=*/7);
 
   std::printf("pushed %u updates at fanout 3 over %u machines:\n", pushes,

@@ -1,88 +1,6 @@
 #include "analysis/experiment.hpp"
 
-#include "analysis/parallel_sweep.hpp"
-#include "analysis/scenario.hpp"
-#include "common/expect.hpp"
-
-// The free functions are the sequential face of the cell-based runner in
-// analysis/parallel_sweep.cpp: every call delegates to a one-thread
-// ParallelSweep, so sequential and parallel execution share one code
-// path and one canonical result (bit-identical at any thread count).
-
 namespace vs07::analysis {
-
-EffectivenessPoint measureEffectiveness(const cast::OverlaySnapshot& overlay,
-                                        const cast::TargetSelector& selector,
-                                        std::uint32_t fanout,
-                                        std::uint32_t runs,
-                                        std::uint64_t seed) {
-  return ParallelSweep().measureEffectiveness(overlay, selector, fanout,
-                                              runs, seed);
-}
-
-EffectivenessPoint measureEffectiveness(const cast::OverlaySnapshot& overlay,
-                                        cast::Strategy strategy,
-                                        std::uint32_t fanout,
-                                        std::uint32_t runs,
-                                        std::uint64_t seed) {
-  return measureEffectiveness(overlay, cast::selectorFor(strategy), fanout,
-                              runs, seed);
-}
-
-EffectivenessPoint measureEffectiveness(const Scenario& scenario,
-                                        cast::Strategy strategy,
-                                        std::uint32_t fanout,
-                                        std::uint32_t runs,
-                                        std::uint64_t seed) {
-  return measureEffectiveness(scenario.snapshot(strategy), strategy, fanout,
-                              runs, seed);
-}
-
-std::vector<EffectivenessPoint> sweepEffectiveness(
-    const cast::OverlaySnapshot& overlay, const cast::TargetSelector& selector,
-    const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-    std::uint64_t seed) {
-  return ParallelSweep().sweepEffectiveness(overlay, selector, fanouts, runs,
-                                            seed);
-}
-
-std::vector<EffectivenessPoint> sweepEffectiveness(
-    const cast::OverlaySnapshot& overlay, cast::Strategy strategy,
-    const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-    std::uint64_t seed) {
-  return sweepEffectiveness(overlay, cast::selectorFor(strategy), fanouts,
-                            runs, seed);
-}
-
-std::vector<EffectivenessPoint> sweepEffectiveness(
-    const Scenario& scenario, cast::Strategy strategy,
-    const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-    std::uint64_t seed) {
-  return sweepEffectiveness(scenario.snapshot(strategy), strategy, fanouts,
-                            runs, seed);
-}
-
-ProgressStats measureProgress(const cast::OverlaySnapshot& overlay,
-                              const cast::TargetSelector& selector,
-                              std::uint32_t fanout, std::uint32_t runs,
-                              std::uint64_t seed) {
-  return ParallelSweep().measureProgress(overlay, selector, fanout, runs,
-                                         seed);
-}
-
-ProgressStats measureProgress(const cast::OverlaySnapshot& overlay,
-                              cast::Strategy strategy, std::uint32_t fanout,
-                              std::uint32_t runs, std::uint64_t seed) {
-  return measureProgress(overlay, cast::selectorFor(strategy), fanout, runs,
-                         seed);
-}
-
-ProgressStats measureProgress(const Scenario& scenario,
-                              cast::Strategy strategy, std::uint32_t fanout,
-                              std::uint32_t runs, std::uint64_t seed) {
-  return measureProgress(scenario.snapshot(strategy), strategy, fanout, runs,
-                         seed);
-}
 
 CountHistogram lifetimeHistogram(const sim::Network& network,
                                  std::uint64_t nowCycle) {
@@ -90,38 +8,6 @@ CountHistogram lifetimeHistogram(const sim::Network& network,
   for (const NodeId id : network.aliveIds())
     histogram.add(network.lifetime(id, nowCycle));
   return histogram;
-}
-
-MissLifetimeStudy measureMissLifetimes(const cast::OverlaySnapshot& overlay,
-                                       const cast::TargetSelector& selector,
-                                       const sim::Network& network,
-                                       std::uint64_t nowCycle,
-                                       std::uint32_t fanout,
-                                       std::uint32_t runs,
-                                       std::uint64_t seed) {
-  return ParallelSweep().measureMissLifetimes(overlay, selector, network,
-                                              nowCycle, fanout, runs, seed);
-}
-
-MissLifetimeStudy measureMissLifetimes(const cast::OverlaySnapshot& overlay,
-                                       cast::Strategy strategy,
-                                       const sim::Network& network,
-                                       std::uint64_t nowCycle,
-                                       std::uint32_t fanout,
-                                       std::uint32_t runs,
-                                       std::uint64_t seed) {
-  return measureMissLifetimes(overlay, cast::selectorFor(strategy), network,
-                              nowCycle, fanout, runs, seed);
-}
-
-MissLifetimeStudy measureMissLifetimes(const Scenario& scenario,
-                                       cast::Strategy strategy,
-                                       std::uint32_t fanout,
-                                       std::uint32_t runs,
-                                       std::uint64_t seed) {
-  return measureMissLifetimes(scenario.snapshot(strategy), strategy,
-                              scenario.network(), scenario.engine().cycle(),
-                              fanout, runs, seed);
 }
 
 }  // namespace vs07::analysis

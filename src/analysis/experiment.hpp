@@ -1,17 +1,11 @@
-// Experiment runners shared by the figure benches and the integration
-// tests: fanout sweeps of dissemination effectiveness (Figs. 6/9/11),
-// per-hop progress aggregation (Figs. 7/10), message-overhead accounting
-// (Fig. 8), and lifetime bookkeeping for the churn study (Figs. 12/13).
-//
-// Each runner has three shapes, most convenient first:
-//   * (Scenario, Strategy, ...)       — snapshots the right overlay itself;
-//   * (OverlaySnapshot, Strategy, ...) — for hand-built overlays (§3 graphs);
-//   * (OverlaySnapshot, TargetSelector, ...) — the raw engine underneath.
-//
-// These free functions are the sequential face of the cell-based runner
-// in analysis/parallel_sweep.hpp (they delegate to a one-thread
-// ParallelSweep), so their results are bit-identical to the same sweep
-// run on any number of threads.
+// Result records of the experiment runners shared by the figure benches
+// and the integration tests: fanout sweeps of dissemination effectiveness
+// (Figs. 6/9/11), per-hop progress aggregation (Figs. 7/10),
+// message-overhead accounting (Fig. 8), and lifetime bookkeeping for the
+// churn study (Figs. 12/13). The runners themselves are the methods of
+// analysis::ParallelSweep (analysis/parallel_sweep.hpp); run one with
+// threads = 1 for a sequential sweep — the results are bit-identical at
+// any thread count.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +19,6 @@
 #include "sim/network.hpp"
 
 namespace vs07::analysis {
-
-class Scenario;
 
 /// Aggregate outcome of `runs` disseminations at one fanout.
 struct EffectivenessPoint {
@@ -48,38 +40,6 @@ struct EffectivenessPoint {
   std::uint64_t totalMisses = 0;
 };
 
-/// Runs `runs` disseminations from uniformly random alive origins and
-/// aggregates them. Deterministic in `seed`.
-EffectivenessPoint measureEffectiveness(const cast::OverlaySnapshot& overlay,
-                                        const cast::TargetSelector& selector,
-                                        std::uint32_t fanout,
-                                        std::uint32_t runs,
-                                        std::uint64_t seed);
-EffectivenessPoint measureEffectiveness(const cast::OverlaySnapshot& overlay,
-                                        cast::Strategy strategy,
-                                        std::uint32_t fanout,
-                                        std::uint32_t runs,
-                                        std::uint64_t seed);
-EffectivenessPoint measureEffectiveness(const Scenario& scenario,
-                                        cast::Strategy strategy,
-                                        std::uint32_t fanout,
-                                        std::uint32_t runs,
-                                        std::uint64_t seed);
-
-/// measureEffectiveness over a list of fanouts (one seed stream).
-std::vector<EffectivenessPoint> sweepEffectiveness(
-    const cast::OverlaySnapshot& overlay, const cast::TargetSelector& selector,
-    const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-    std::uint64_t seed);
-std::vector<EffectivenessPoint> sweepEffectiveness(
-    const cast::OverlaySnapshot& overlay, cast::Strategy strategy,
-    const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-    std::uint64_t seed);
-std::vector<EffectivenessPoint> sweepEffectiveness(
-    const Scenario& scenario, cast::Strategy strategy,
-    const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-    std::uint64_t seed);
-
 /// Per-hop dissemination progress aggregated over runs (Figs. 7/10):
 /// for each hop, the mean/min/max percentage of nodes not yet reached.
 struct ProgressStats {
@@ -90,45 +50,17 @@ struct ProgressStats {
   std::vector<double> maxPctRemaining;
 };
 
-ProgressStats measureProgress(const cast::OverlaySnapshot& overlay,
-                              const cast::TargetSelector& selector,
-                              std::uint32_t fanout, std::uint32_t runs,
-                              std::uint64_t seed);
-ProgressStats measureProgress(const cast::OverlaySnapshot& overlay,
-                              cast::Strategy strategy, std::uint32_t fanout,
-                              std::uint32_t runs, std::uint64_t seed);
-ProgressStats measureProgress(const Scenario& scenario,
-                              cast::Strategy strategy, std::uint32_t fanout,
-                              std::uint32_t runs, std::uint64_t seed);
-
 /// Lifetime (in cycles) of every alive node at `nowCycle` — Fig. 12.
 CountHistogram lifetimeHistogram(const sim::Network& network,
                                  std::uint64_t nowCycle);
 
-/// Runs `runs` disseminations and histograms the lifetimes of the nodes
-/// that were *not* notified — Fig. 13. Also returns the effectiveness
-/// aggregate so callers get Fig. 11's numbers from the same runs.
+/// Outcome of `runs` disseminations with the lifetimes of the nodes that
+/// were *not* notified histogrammed — Fig. 13. Also carries the
+/// effectiveness aggregate so callers get Fig. 11's numbers from the
+/// same runs.
 struct MissLifetimeStudy {
   EffectivenessPoint effectiveness;
   CountHistogram missedLifetimes;
 };
-
-MissLifetimeStudy measureMissLifetimes(const cast::OverlaySnapshot& overlay,
-                                       const cast::TargetSelector& selector,
-                                       const sim::Network& network,
-                                       std::uint64_t nowCycle,
-                                       std::uint32_t fanout,
-                                       std::uint32_t runs, std::uint64_t seed);
-MissLifetimeStudy measureMissLifetimes(const cast::OverlaySnapshot& overlay,
-                                       cast::Strategy strategy,
-                                       const sim::Network& network,
-                                       std::uint64_t nowCycle,
-                                       std::uint32_t fanout,
-                                       std::uint32_t runs, std::uint64_t seed);
-/// `nowCycle` is the scenario's current engine cycle.
-MissLifetimeStudy measureMissLifetimes(const Scenario& scenario,
-                                       cast::Strategy strategy,
-                                       std::uint32_t fanout,
-                                       std::uint32_t runs, std::uint64_t seed);
 
 }  // namespace vs07::analysis

@@ -328,7 +328,7 @@ MissLifetimeStudy ParallelSweep::measureMissLifetimes(
     const Scenario& scenario, cast::Strategy strategy, std::uint32_t fanout,
     std::uint32_t runs, std::uint64_t seed) {
   return measureMissLifetimes(scenario.snapshot(strategy), strategy,
-                              scenario.network(), scenario.engine().cycle(),
+                              scenario.network(), scenario.cyclesRun(),
                               fanout, runs, seed);
 }
 

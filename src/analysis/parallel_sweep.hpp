@@ -1,6 +1,11 @@
-// ParallelSweep — the cell-based parallel experiment runner behind the
-// figure benches (and, at one thread, behind the sequential free
-// functions of analysis/experiment.hpp).
+// ParallelSweep — the cell-based experiment runner behind the figure
+// benches, the examples and the integration tests; its result records
+// live in analysis/experiment.hpp.
+//
+// Each runner has three shapes, most convenient first:
+//   * (Scenario, Strategy, ...)       — snapshots the right overlay itself;
+//   * (OverlaySnapshot, Strategy, ...) — for hand-built overlays (§3 graphs);
+//   * (OverlaySnapshot, TargetSelector, ...) — the raw engine underneath.
 //
 // A sweep is split into independent (fanout, replication-chunk) cells of
 // at most SweepOptions::runsPerCell disseminations each. Every cell seeds
@@ -32,6 +37,8 @@
 
 namespace vs07::analysis {
 
+class Scenario;
+
 /// Knobs of the parallel runner.
 struct SweepOptions {
   /// Worker lanes (including the caller); 0 = all hardware cores.
@@ -43,9 +50,10 @@ struct SweepOptions {
   std::uint32_t runsPerCell = 8;
 };
 
-/// Parallel twin of the experiment runners in analysis/experiment.hpp.
-/// One instance owns a TaskPool and can run any number of sweeps; it is
-/// not thread-safe itself (one sweep at a time).
+/// The experiment runner (see file comment). One instance owns a
+/// TaskPool and can run any number of sweeps; it is not thread-safe
+/// itself (one sweep at a time). The default instance runs on the
+/// calling thread alone.
 class ParallelSweep {
  public:
   ParallelSweep() : ParallelSweep(SweepOptions{}) {}
@@ -59,6 +67,8 @@ class ParallelSweep {
 
   // -- effectiveness (Figs. 6/8/9/11) -----------------------------------
 
+  /// Runs `runs` disseminations from uniformly random alive origins and
+  /// aggregates them. Deterministic in `seed`.
   EffectivenessPoint measureEffectiveness(const cast::OverlaySnapshot& overlay,
                                           const cast::TargetSelector& selector,
                                           std::uint32_t fanout,
@@ -106,6 +116,8 @@ class ParallelSweep {
 
   // -- miss lifetimes (Fig. 13) -----------------------------------------
 
+  /// Lifetimes are taken at `nowCycle`; the Scenario shape uses the
+  /// scenario's cyclesRun(), the clock of whichever engine is active.
   MissLifetimeStudy measureMissLifetimes(const cast::OverlaySnapshot& overlay,
                                          const cast::TargetSelector& selector,
                                          const sim::Network& network,

@@ -8,22 +8,6 @@
 
 namespace vs07::analysis {
 
-namespace {
-
-/// Ticks a delayed dissemination transport once per engine cycle, so
-/// in-flight LiveSession traffic advances with simulated time.
-class TransportPump final : public sim::Control {
- public:
-  explicit TransportPump(net::DelayedTransport& transport)
-      : transport_(transport) {}
-  void execute(std::uint64_t /*cycle*/) override { transport_.tick(); }
-
- private:
-  net::DelayedTransport& transport_;
-};
-
-}  // namespace
-
 /// All the wiring, heap-allocated so Scenario moves cheaply and the
 /// this-capturing delivery lambdas stay valid. Member order mirrors the
 /// construction dependencies (and the former ProtocolStack, preserving
@@ -43,15 +27,12 @@ struct Scenario::Core {
   /// engine's event queue (the only place per-link conditions can be
   /// resolved at delivery-scheduling time).
   std::unique_ptr<sim::LatencyTransport> latency;
-  std::unique_ptr<net::DelayedTransport> delayed;
-  std::unique_ptr<net::LossyTransport> lossy;
   gossip::Cyclon cyclon;
   gossip::MultiRing rings;
   /// Built when config.engineThreads >= 1; then *it* drives the cycles
   /// (the sequential engine above stays idle) and protocols/controls are
   /// registered here instead.
   std::unique_ptr<sim::ShardedEngine> sharded;
-  std::unique_ptr<TransportPump> pump;
   std::unique_ptr<sim::ChurnControl> churn;
   std::unique_ptr<sim::SessionChurnControl> sessionChurn;
   std::unique_ptr<cast::LiveSession> live;
@@ -74,19 +55,18 @@ struct Scenario::Core {
                         !model
                     ? nullptr
                     : std::make_unique<sim::LatencyTransport>(
-                          engine, static_cast<net::DeliverySink&>(router),
-                          c.timing.latency, mix64(c.seed ^ 0x6C6174ULL))),
-        cyclon(network, gossipTransport(), router, c.cyclon,
+                          engine, router, c.timing.latency,
+                          mix64(c.seed ^ 0x6C6174ULL))),
+        cyclon(network, activeTransport(), router, c.cyclon,
                mix64(c.seed ^ 0x6379636CULL)),
-        rings(network, gossipTransport(), router, cyclon, c.vicinity, c.rings,
+        rings(network, activeTransport(), router, cyclon, c.vicinity, c.rings,
               mix64(c.seed ^ 0x72696E67ULL)),
         killRng(mix64(c.seed ^ 0xFA11EDULL)) {
     if (model) latency->setNetworkModel(model.get());
     if (c.engineThreads >= 1) {
-      VS07_EXPECT(!c.network.any() && !c.delayedTransport &&
-                  c.dropProbability == 0.0 &&
+      VS07_EXPECT(!c.network.any() &&
                   "the sharded engine runs without link-level network "
-                  "conditions or the legacy delayed/lossy transports");
+                  "conditions");
       VS07_EXPECT((c.timing.mode == sim::TimingMode::kJitteredPeriodic ||
                    c.timing.latency.kind == sim::LatencyModel::Kind::kNone) &&
                   "sharded CycleSync is latency-free; use jittered timing "
@@ -100,37 +80,12 @@ struct Scenario::Core {
       engine.addProtocol(cyclon);
       engine.addProtocol(rings);
     }
-    if (c.delayedTransport) {
-      VS07_EXPECT(!latency &&
-                  "pick one latency mechanism: timing().latency / network "
-                  "conditions or delayedTransport()");
-      delayed = std::make_unique<net::DelayedTransport>(
-          static_cast<net::DeliverySink&>(router), c.minLatencyTicks,
-          c.maxLatencyTicks, mix64(c.seed ^ 0x64656C6179ULL));
-      pump = std::make_unique<TransportPump>(*delayed);
-      engine.addControl(*pump);
-    }
-    if (c.dropProbability > 0.0) {
-      net::Transport& base = delayed
-                                 ? static_cast<net::Transport&>(*delayed)
-                                 : (latency ? static_cast<net::Transport&>(
-                                                  *latency)
-                                            : transport);
-      lossy = std::make_unique<net::LossyTransport>(
-          base, c.dropProbability, mix64(c.seed ^ 0x6C6F7373ULL));
-    }
   }
 
-  /// The transport the gossip layers ride on: immediate (the paper's
-  /// cycle model) unless the timing config asked for message latency.
-  net::Transport& gossipTransport() {
-    if (latency) return *latency;
-    return transport;
-  }
-
-  net::Transport& castTransport() {
-    if (lossy) return *lossy;
-    if (delayed) return *delayed;
+  /// The transport gossip and dissemination ride on: immediate (the
+  /// paper's cycle model) unless the config asked for message latency or
+  /// network conditions.
+  net::Transport& activeTransport() {
     if (latency) return *latency;
     return transport;
   }
@@ -296,7 +251,7 @@ std::uint64_t Scenario::cyclesRun() const noexcept {
 }
 std::uint64_t Scenario::gossipMessagesSent() const noexcept {
   if (core_->sharded) return core_->sharded->messagesSent();
-  return core_->gossipTransport().sent();
+  return core_->activeTransport().sent();
 }
 sim::MessageRouter& Scenario::router() noexcept { return core_->router; }
 gossip::Cyclon& Scenario::cyclon() noexcept { return core_->cyclon; }
@@ -309,12 +264,6 @@ const gossip::MultiRing& Scenario::rings() const noexcept {
 }
 const gossip::Vicinity& Scenario::vicinity() const {
   return core_->rings.ring(0);
-}
-net::Transport& Scenario::castTransport() noexcept {
-  return core_->castTransport();
-}
-net::DelayedTransport* Scenario::delayedTransport() noexcept {
-  return core_->delayed.get();
 }
 sim::LatencyTransport* Scenario::latencyTransport() noexcept {
   return core_->latency.get();
@@ -380,7 +329,7 @@ cast::LiveSession& Scenario::liveSession(cast::CastOptions options) {
   VS07_EXPECT(!core_->live &&
               "one live session per scenario (it owns the Data routes)");
   core_->live = std::make_unique<cast::LiveSession>(
-      core_->network, core_->castTransport(), core_->router, core_->engine,
+      core_->network, core_->activeTransport(), core_->router, core_->engine,
       core_->cyclon, &core_->rings.ring(0), &core_->rings, options);
   return *core_->live;
 }
@@ -429,8 +378,6 @@ ScenarioBuilder& ScenarioBuilder::jitteredTiming(std::uint32_t ticksPerCycle) {
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::latency(sim::LatencyModel model) {
-  VS07_EXPECT(!config_.delayedTransport &&
-              "pick one latency mechanism: latency() or delayedTransport()");
   config_.timing.latency = model;
   return *this;
 }
@@ -507,24 +454,6 @@ ScenarioBuilder& ScenarioBuilder::partitionRingArc(double fraction,
   plan.kind = Kind::kRingArc;
   plan.arcFraction = fraction;
   plan.windowsCycles.emplace_back(startCycle, endCycle);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::delayedTransport(
-    std::uint32_t minLatencyTicks, std::uint32_t maxLatencyTicks) {
-  VS07_EXPECT(minLatencyTicks <= maxLatencyTicks);
-  VS07_EXPECT(config_.timing.latency.kind == sim::LatencyModel::Kind::kNone &&
-              "pick one latency mechanism: latency() or delayedTransport()");
-  VS07_EXPECT(!config_.network.any() &&
-              "network conditions ride the engine-queue transport; they do "
-              "not compose with delayedTransport()");
-  config_.delayedTransport = true;
-  config_.minLatencyTicks = minLatencyTicks;
-  config_.maxLatencyTicks = maxLatencyTicks;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::lossyTransport(double dropProbability) {
-  VS07_EXPECT(dropProbability >= 0.0 && dropProbability <= 1.0);
-  config_.dropProbability = dropProbability;
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::churn(double ratePerCycle) {

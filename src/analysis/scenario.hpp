@@ -2,13 +2,14 @@
 //
 // A Scenario composes everything an experiment needs: the population,
 // CYCLON (r-links), one-or-more VICINITY rings (d-links), the simulation
-// engine, the dissemination transport (immediate / delayed / lossy), and
-// an optional churn model; `build()` also runs the paper's §7 star
-// bootstrap + warm-up so the returned object is ready to disseminate.
-// Dissemination itself goes through cast::CastSession: snapshotSession()
-// freezes the overlay for the paper's §7.1 model, liveSession() runs
-// push (+ optional §8 pull) through the transport. Presets reproduce the
-// paper's three evaluation settings.
+// engine, the one transport all simulated traffic rides (immediate, or
+// the engine-queue LatencyTransport when latency or network conditions
+// are set), and an optional churn model; `build()` also runs the paper's
+// §7 star bootstrap + warm-up so the returned object is ready to
+// disseminate. Dissemination itself goes through cast::CastSession:
+// snapshotSession() freezes the overlay for the paper's §7.1 model,
+// liveSession() runs push (+ optional §8 pull) through the transport.
+// Presets reproduce the paper's three evaluation settings.
 //
 //   auto scenario = analysis::Scenario::builder()
 //                       .nodes(10'000).seed(42).build();
@@ -67,9 +68,8 @@ class Scenario {
     /// results are bit-identical for any value >= 1, so determinism
     /// tests can compare 1 vs 8. Supports CycleSync (latency-free) and
     /// JitteredPeriodic timing with or without a LatencyModel (the
-    /// windowed schedule); link-level network conditions and the legacy
-    /// delayed/lossy transports remain sequential-only, as do live
-    /// sessions.
+    /// windowed schedule); link-level network conditions remain
+    /// sequential-only, as do live sessions.
     std::uint32_t engineThreads = 0;
 
     // -- timing model (engine timers + optional message latency) --------
@@ -87,14 +87,6 @@ class Scenario {
     /// queueing are resolved per (src, dst, tick) at delivery-scheduling
     /// time — for gossip and dissemination alike.
     sim::NetworkConditions network{};
-
-    // -- dissemination transport (legacy pumped path: gossip stays on the
-    //    immediate cycle model; these shape LiveSession traffic only) ----
-    bool delayedTransport = false;
-    std::uint32_t minLatencyTicks = 1;
-    std::uint32_t maxLatencyTicks = 1;
-    /// Probability that a dissemination message is dropped (0 = none).
-    double dropProbability = 0.0;
 
     // -- churn installed at build time (post-warm-up cycles churn) ------
     double churnRate = 0.0;       ///< per-cycle replacement fraction
@@ -203,8 +195,9 @@ class Scenario {
   const sim::ShardedEngine* shardedEngine() const noexcept;
   /// Completed gossip cycles on whichever engine is active.
   std::uint64_t cyclesRun() const noexcept;
-  /// Gossip messages sent so far on whichever engine is active (the
-  /// sharded engine's barrier senders do not ride castTransport()).
+  /// Messages sent so far on the scenario's transport, gossip and
+  /// live-session traffic alike; on the sharded engine, the messages its
+  /// barrier senders carried instead.
   std::uint64_t gossipMessagesSent() const noexcept;
   sim::MessageRouter& router() noexcept;
   gossip::Cyclon& cyclon() noexcept;
@@ -213,11 +206,6 @@ class Scenario {
   const gossip::MultiRing& rings() const noexcept;
   /// Ring 0's VICINITY instance (the RINGCAST ring).
   const gossip::Vicinity& vicinity() const;
-  /// The transport dissemination traffic rides on (immediate unless the
-  /// builder chose delayed/lossy; gossip always uses the cycle model).
-  net::Transport& castTransport() noexcept;
-  /// Non-null when the builder chose a delayed transport (tick/drain).
-  net::DelayedTransport* delayedTransport() noexcept;
   /// Non-null when the timing config carries a latency model or any
   /// network condition is configured: the engine-queue transport all
   /// simulated traffic rides on.
@@ -290,8 +278,7 @@ class ScenarioBuilder {
   /// Run all cycles on the sharded engine with `threads` workers
   /// (bit-identical for any threads >= 1). Supports CycleSync and the
   /// jittered timing modes, including message latency (windowed
-  /// execution); network conditions and the legacy delayed/lossy
-  /// transports stay sequential-only.
+  /// execution); network conditions stay sequential-only.
   ScenarioBuilder& engineThreads(std::uint32_t threads);
   ScenarioBuilder& rings(std::uint32_t count);
   ScenarioBuilder& warmupCycles(std::uint32_t cycles);
@@ -305,8 +292,8 @@ class ScenarioBuilder {
   ScenarioBuilder& jitteredTiming(
       std::uint32_t ticksPerCycle = sim::kDefaultTicksPerCycle);
   /// Shorthand: per-message delivery latency for *all* simulated traffic
-  /// through the engine queue (composes with either timing mode;
-  /// mutually exclusive with delayedTransport()).
+  /// through the engine queue (composes with either timing mode and with
+  /// network conditions).
   ScenarioBuilder& latency(sim::LatencyModel model);
 
   // -- link-level network conditions (sim/network_model.hpp). Any of
@@ -351,13 +338,6 @@ class ScenarioBuilder {
   ScenarioBuilder& partitionRingArc(double fraction,
                                     std::uint64_t startCycle,
                                     std::uint64_t endCycle);
-
-  /// Dissemination messages take a uniform-random [min,max] tick latency.
-  ScenarioBuilder& delayedTransport(std::uint32_t minLatencyTicks,
-                                    std::uint32_t maxLatencyTicks);
-  /// Dissemination messages are dropped with probability `p` (composes
-  /// with delayedTransport: drop happens before the delay queue).
-  ScenarioBuilder& lossyTransport(double dropProbability);
 
   /// Per-cycle replacement churn (§7.3's model) from build() onwards.
   ScenarioBuilder& churn(double ratePerCycle);

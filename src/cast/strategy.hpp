@@ -1,7 +1,7 @@
 // The dissemination strategy plug-point shared by the snapshot and live
 // paths. One enum names every forwarding rule the paper evaluates; both
 // CastSession implementations (cast/session.hpp) and the experiment
-// runners (analysis/experiment.hpp) key on it, so switching an experiment
+// runners (analysis/parallel_sweep.hpp) key on it, so switching an experiment
 // between RANDCAST and RINGCAST — or between frozen-overlay and
 // transport-driven execution — is a one-word change.
 #pragma once

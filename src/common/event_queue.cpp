@@ -1,6 +1,5 @@
 #include "common/event_queue.hpp"
 
-#include <limits>
 #include <utility>
 
 namespace vs07 {
@@ -19,26 +18,12 @@ std::uint64_t EventQueue::nextDueTick() const {
 }
 
 void EventQueue::advanceTo(std::uint64_t tick) {
-  advanceTo(tick, std::numeric_limits<std::uint64_t>::max());
-}
-
-void EventQueue::advanceTo(std::uint64_t tick, std::uint64_t seqCutoff) {
   if (tick > now_) now_ = tick;
-  while (!heap_.empty() && heap_.top().dueTick <= tick &&
-         heap_.top().seq < seqCutoff) {
+  while (!heap_.empty() && heap_.top().dueTick <= tick) {
     // priority_queue::top() is const; the action is popped right after,
     // so copy-free extraction needs the const_cast idiom.
     Event event = std::move(const_cast<Event&>(heap_.top()));
     heap_.pop();
-    event.action();
-  }
-}
-
-void EventQueue::drainAll() {
-  while (!heap_.empty()) {
-    Event event = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
-    if (event.dueTick > now_) now_ = event.dueTick;
     event.action();
   }
 }

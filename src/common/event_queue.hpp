@@ -9,8 +9,8 @@
 // identically seeded simulations replay the exact same event order,
 // which is what every determinism suite in this repo leans on.
 //
-// Used by sim::Engine as the simulation core and by net::DelayedTransport
-// as its delivery queue (one scheduler implementation, two clocks). The
+// Used by sim::Engine as the simulation core: node timers, message
+// deliveries and cycle-boundary controls all share this one queue. The
 // parallel engine (sim::ShardedEngine) replaces the single global queue
 // with one ShardDeliveryQueue per shard plus a horizon query — see below.
 #pragma once
@@ -44,10 +44,6 @@ class EventQueue {
   /// The current simulated tick: the largest tick ever advanced to.
   std::uint64_t now() const noexcept { return now_; }
 
-  /// The sequence number the next schedule() call will be assigned
-  /// (advanceTo cutoffs are expressed against this counter).
-  std::uint64_t nextSeq() const noexcept { return nextSeq_; }
-
   /// Due tick of the earliest pending event. Requires !empty().
   std::uint64_t nextDueTick() const;
 
@@ -57,24 +53,6 @@ class EventQueue {
   /// `tick` still runs in this call, after the already pending events of
   /// its (dueTick, priority) class.
   void advanceTo(std::uint64_t tick);
-
-  /// advanceTo that additionally *stops* at the first event (in pop
-  /// order) whose seq >= seqCutoff, leaving it and everything behind it
-  /// queued: passing nextSeq() taken *before* the call defers everything
-  /// scheduled re-entrantly to a later advance — the "a zero-latency
-  /// send from inside a delivery handler waits for the next tick"
-  /// semantics DelayedTransport promises. Note the cutoff is a stopping
-  /// point, not a filter: an *older* event due later in the pop order is
-  /// deferred along with the newer one in front of it. That is exactly
-  /// right for single-priority FIFO traffic (the only current use);
-  /// callers mixing priorities or widely varying latencies should not
-  /// combine them with a cutoff.
-  void advanceTo(std::uint64_t tick, std::uint64_t seqCutoff);
-
-  /// Executes everything still pending regardless of due tick (test
-  /// teardown / transport drain); now() advances to the last executed
-  /// event's due tick.
-  void drainAll();
 
  private:
   struct Event {

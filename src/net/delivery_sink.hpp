@@ -6,11 +6,6 @@
 // from anywhere without cycles.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <utility>
-
-#include "common/expect.hpp"
 #include "net/message.hpp"
 
 namespace vs07::net {
@@ -26,41 +21,6 @@ class DeliverySink {
   /// left behind). Implementations must not retain references past the
   /// call.
   virtual void deliver(NodeId to, Message&& msg) = 0;
-};
-
-/// Legacy/function-style sink, for tests and ad-hoc wiring. Keeps the
-/// old `void(NodeId, const Message&)` signature.
-using DeliverFn = std::function<void(NodeId to, const Message& msg)>;
-
-/// Adapts a DeliverFn to the DeliverySink interface.
-class FunctionSink final : public DeliverySink {
- public:
-  explicit FunctionSink(DeliverFn fn) : fn_(std::move(fn)) {
-    VS07_EXPECT(fn_ != nullptr);
-  }
-  void deliver(NodeId to, Message&& msg) override { fn_(to, msg); }
-
- private:
-  DeliverFn fn_;
-};
-
-/// The one sink handle every transport holds: either a borrowed
-/// DeliverySink (the hot-path wiring) or an owned FunctionSink adapting
-/// a DeliverFn (the test-convenience wiring). Collapses the
-/// owned-pointer/raw-pointer pair each transport used to duplicate.
-class SinkRef {
- public:
-  explicit SinkRef(DeliverySink& sink) : sink_(&sink) {}
-  explicit SinkRef(DeliverFn fn)
-      : owned_(std::make_unique<FunctionSink>(std::move(fn))),
-        sink_(owned_.get()) {}
-
-  DeliverySink& operator*() const noexcept { return *sink_; }
-  DeliverySink* operator->() const noexcept { return sink_; }
-
- private:
-  std::unique_ptr<FunctionSink> owned_;
-  DeliverySink* sink_;
 };
 
 }  // namespace vs07::net

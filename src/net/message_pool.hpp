@@ -1,8 +1,8 @@
 // MessagePool — recyclable slot storage for in-flight messages.
 //
-// Queued transports (DelayedTransport, sim::LatencyTransport via the
-// engine) used to copy each queued Message into a heap-allocated closure;
-// at a million nodes that made the allocator the hot path. The pool keeps
+// The queued transport (sim::LatencyTransport, via the engine) used to
+// copy each queued Message into a heap-allocated closure; at a million
+// nodes that made the allocator the hot path. The pool keeps
 // a freelist of Message slots whose entry/id vectors retain their
 // capacity across reuse, so a steady-state cycle checks messages in and
 // out without touching the allocator at all:

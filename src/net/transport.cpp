@@ -2,70 +2,11 @@
 
 #include <utility>
 
-#include "common/expect.hpp"
-
 namespace vs07::net {
 
 void ImmediateTransport::send(NodeId to, Message&& msg) {
   countSend();
-  sink_->deliver(to, std::move(msg));
-}
-
-DelayedTransport::DelayedTransport(SinkRef sink,
-                                   std::uint32_t minLatencyTicks,
-                                   std::uint32_t maxLatencyTicks,
-                                   std::uint64_t seed)
-    : sink_(std::move(sink)),
-      minLatency_(minLatencyTicks),
-      maxLatency_(maxLatencyTicks),
-      rng_(seed) {
-  VS07_EXPECT(minLatency_ <= maxLatency_);
-}
-
-void DelayedTransport::send(NodeId to, Message&& msg) {
-  countSend();
-  const std::uint32_t latency =
-      minLatency_ == maxLatency_
-          ? minLatency_
-          : minLatency_ + static_cast<std::uint32_t>(rng_.below(
-                              maxLatency_ - minLatency_ + 1));
-  const MessagePool::Slot slot = pool_.checkIn(to, msg);
-  // The capture is two words, so the action stays in the std::function
-  // small buffer — queueing a message allocates nothing in steady state.
-  queue_.schedule(queue_.now() + latency, /*priority=*/0,
-                  [this, slot] { deliverSlot(slot); });
-}
-
-void DelayedTransport::deliverSlot(MessagePool::Slot slot) {
-  sink_->deliver(pool_.destination(slot), std::move(pool_.at(slot)));
-  pool_.release(slot);
-}
-
-void DelayedTransport::tick() {
-  // Handlers may send() from inside deliver_ (forwarding chains); those
-  // messages join the queue directly but carry a sequence number past
-  // this cutoff, so even a zero-latency re-entrant send waits for the
-  // next tick — the same semantics the old snapshot-and-swap loop had.
-  queue_.advanceTo(queue_.now() + 1, queue_.nextSeq());
-}
-
-void DelayedTransport::drain() {
-  while (!queue_.empty()) tick();
-}
-
-LossyTransport::LossyTransport(Transport& inner, double dropProbability,
-                               std::uint64_t seed)
-    : inner_(inner), dropProbability_(dropProbability), rng_(seed) {
-  VS07_EXPECT(dropProbability_ >= 0.0 && dropProbability_ <= 1.0);
-}
-
-void LossyTransport::send(NodeId to, Message&& msg) {
-  countSend();
-  if (rng_.chance(dropProbability_)) {
-    ++dropped_;
-    return;
-  }
-  inner_.send(to, std::move(msg));
+  sink_.deliver(to, std::move(msg));
 }
 
 }  // namespace vs07::net

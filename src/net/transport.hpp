@@ -1,16 +1,16 @@
 // Message transports.
 //
 // Protocols talk only to the Transport interface; the simulator wires a
-// delivery sink underneath. Three implementations:
+// delivery sink underneath. Two implementations:
 //   * ImmediateTransport — synchronous in-process delivery (the cycle-driven
 //     model of the paper: an exchange completes within a cycle).
-//   * DelayedTransport — queues with integer tick latency; tick() drains.
-//   * LossyTransport — decorator dropping each message with probability p.
+//   * sim::LatencyTransport — schedules every delivery on the engine's
+//     shared event queue, with a per-message latency and, optionally, the
+//     link-level conditions of a sim::NetworkModel (loss, partitions,
+//     duplication, reordering, egress caps).
 // The paper's evaluation is hop-based and latency-free (§7: uniform delay
-// does not change macroscopic behaviour); the delayed/lossy variants exist
-// for tests and for the failure-injection experiments. For latency that
-// interleaves with the simulation's own clock, see sim::LatencyTransport,
-// which schedules deliveries on the engine's shared event queue.
+// does not change macroscopic behaviour); the latency transport is how
+// the timing and degraded-network experiments test that claim.
 //
 // Hot-path contract: send() consumes the message by rvalue reference and
 // never copies it. A synchronous transport hands the same object to the
@@ -21,13 +21,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/event_queue.hpp"
-#include "common/rng.hpp"
 #include "net/delivery_sink.hpp"
 #include "net/message.hpp"
-#include "net/message_pool.hpp"
 
 namespace vs07::net {
 
@@ -53,90 +49,16 @@ class Transport {
   std::uint64_t sent_ = 0;
 };
 
-/// Delivers synchronously, inside send(). Matches the paper's cycle model.
+/// Delivers synchronously, inside send(), straight into `sink` (borrowed;
+/// it must outlive the transport). Matches the paper's cycle model.
 class ImmediateTransport final : public Transport {
  public:
-  /// Hot-path wiring: deliver straight into `sink` (borrowed).
   explicit ImmediateTransport(DeliverySink& sink) : sink_(sink) {}
-  /// Convenience wiring for tests: wraps `deliver` in an owned sink.
-  explicit ImmediateTransport(DeliverFn deliver)
-      : sink_(std::move(deliver)) {}
 
   void send(NodeId to, Message&& msg) override;
 
  private:
-  SinkRef sink_;
-};
-
-/// Queues messages and delivers them `latencyTicks` calls to tick() later.
-/// Per-message latency can also be randomised within [min,max] ticks.
-///
-/// The queue is a deterministic EventQueue keyed on (dueTick, seq) — the
-/// same scheduler the simulation engine runs on, here with a private
-/// clock. tick() pops only the messages actually due, and the sequence
-/// tiebreak keeps delivery FIFO among messages due the same tick, so
-/// randomized-latency runs stay bit-for-bit deterministic. Queued payloads
-/// live in a MessagePool: events capture only a slot index (they stay
-/// inside the std::function small-buffer) and delivered slots recycle
-/// their entry buffers instead of freeing them.
-class DelayedTransport final : public Transport {
- public:
-  DelayedTransport(DeliverySink& sink, std::uint32_t minLatencyTicks,
-                   std::uint32_t maxLatencyTicks, std::uint64_t seed = 1)
-      : DelayedTransport(SinkRef(sink), minLatencyTicks, maxLatencyTicks,
-                         seed) {}
-  DelayedTransport(DeliverFn deliver, std::uint32_t minLatencyTicks,
-                   std::uint32_t maxLatencyTicks, std::uint64_t seed = 1)
-      : DelayedTransport(SinkRef(std::move(deliver)), minLatencyTicks,
-                         maxLatencyTicks, seed) {}
-
-  void send(NodeId to, Message&& msg) override;
-
-  /// Advances time one tick, delivering everything that is due. Messages
-  /// sent from inside a delivery handler are queued for a *later* tick
-  /// (their latency counts from now), never delivered re-entrantly.
-  void tick();
-
-  /// Delivers everything still queued (used at test teardown).
-  void drain();
-
-  std::size_t inFlight() const noexcept { return queue_.size(); }
-
-  /// The payload pool (diagnostics: capacity stops growing once traffic
-  /// reaches steady state).
-  const MessagePool& pool() const noexcept { return pool_; }
-
- private:
-  DelayedTransport(SinkRef sink, std::uint32_t minLatencyTicks,
-                   std::uint32_t maxLatencyTicks, std::uint64_t seed);
-
-  void deliverSlot(MessagePool::Slot slot);
-
-  SinkRef sink_;
-  EventQueue queue_;
-  MessagePool pool_;
-  std::uint32_t minLatency_;
-  std::uint32_t maxLatency_;
-  Rng rng_;
-};
-
-/// Drops each message with probability `dropProbability`, otherwise
-/// moves it into the wrapped transport. Non-owning: the inner transport
-/// must outlive this decorator.
-class LossyTransport final : public Transport {
- public:
-  LossyTransport(Transport& inner, double dropProbability,
-                 std::uint64_t seed = 1);
-
-  void send(NodeId to, Message&& msg) override;
-
-  std::uint64_t dropped() const noexcept { return dropped_; }
-
- private:
-  Transport& inner_;
-  double dropProbability_;
-  Rng rng_;
-  std::uint64_t dropped_ = 0;
+  DeliverySink& sink_;
 };
 
 }  // namespace vs07::net

@@ -2,20 +2,11 @@
 
 #include <utility>
 
-#include "common/expect.hpp"
-
 namespace vs07::sim {
 
 LatencyTransport::LatencyTransport(Engine& engine, net::DeliverySink& sink,
                                    LatencyModel latency, std::uint64_t seed)
     : engine_(engine), sink_(sink), latency_(latency), rng_(seed) {}
-
-LatencyTransport::LatencyTransport(Engine& engine, net::DeliverFn deliver,
-                                   LatencyModel latency, std::uint64_t seed)
-    : engine_(engine),
-      sink_(std::move(deliver)),
-      latency_(latency),
-      rng_(seed) {}
 
 void LatencyTransport::send(NodeId to, net::Message&& msg) {
   countSend();

@@ -36,13 +36,6 @@ class MessageRouter final : public net::DeliverySink {
   // once the handler returns.
   void deliver(NodeId to, net::Message&& msg) override;
 
-  /// Convenience for tests and ad-hoc injection: copies the message into
-  /// the move path.
-  void deliver(NodeId to, const net::Message& msg) {
-    net::Message copy = msg;
-    deliver(to, std::move(copy));
-  }
-
   /// Messages dropped because the destination was dead.
   std::uint64_t droppedDead() const noexcept { return droppedDead_; }
 

@@ -3,7 +3,8 @@
 // EffectivenessPoint / ProgressStats / MissLifetimeStudy results, two
 // runs at the same seed must agree, and a point's value must not depend
 // on what else is in the sweep (cell streams are identity-derived, not
-// schedule-derived).
+// schedule-derived). The Scenario shapes must read the clock of the
+// engine that actually ran.
 #include "analysis/parallel_sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -151,18 +152,26 @@ TEST(ParallelSweepDeterminism, PointIndependentOfRestOfSweep) {
   expectIdentical(alone, reversed[1]);
 }
 
-TEST(ParallelSweepDeterminism, SequentialFreeFunctionsMatchParallel) {
-  // The free functions of experiment.hpp are the one-thread face of the
-  // same cell decomposition.
-  const auto overlay = scenario().snapshot(Strategy::kRingCast);
-  ParallelSweep sweep({.threads = 8});
-  expectIdentical(
-      measureEffectiveness(overlay, Strategy::kRingCast, 3, kRuns, kSeed),
-      sweep.measureEffectiveness(overlay, Strategy::kRingCast, 3, kRuns,
-                                 kSeed));
-  expectIdentical(
-      measureProgress(overlay, Strategy::kRingCast, 3, kRuns, kSeed),
-      sweep.measureProgress(overlay, Strategy::kRingCast, 3, kRuns, kSeed));
+TEST(ParallelSweep, ScenarioMissLifetimesUseTheActiveEngineClock) {
+  // On the sharded engine the sequential engine never runs, so its cycle
+  // counter stays at 0; the Scenario shape must date lifetimes by the
+  // cycles the sharded engine actually ran.
+  auto churned = Scenario::builder()
+                     .nodes(400)
+                     .seed(13)
+                     .engineThreads(2)
+                     .churn(0.02)
+                     .build();
+  churned.runCycles(70);
+  ParallelSweep sweep;
+  const auto viaScenario = sweep.measureMissLifetimes(
+      churned, Strategy::kRandCast, 2, kRuns, kSeed);
+  const auto viaSnapshot = sweep.measureMissLifetimes(
+      churned.snapshot(Strategy::kRandCast), Strategy::kRandCast,
+      churned.network(), churned.cyclesRun(), 2, kRuns, kSeed);
+  expectIdentical(viaScenario, viaSnapshot);
+  ASSERT_FALSE(viaScenario.missedLifetimes.empty());
+  EXPECT_GT(viaScenario.missedLifetimes.maxValue(), 0u);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 
 #include <algorithm>
 
-#include "analysis/experiment.hpp"
 #include "analysis/graph_analysis.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "analysis/scenario.hpp"
 #include "common/expect.hpp"
 
@@ -48,8 +48,7 @@ TEST(ScenarioBuilder, ZeroRingsRejected) {
 }
 
 TEST(ScenarioBuilder, InvalidKnobsRejected) {
-  EXPECT_THROW(Scenario::builder().delayedTransport(5, 2), ContractViolation);
-  EXPECT_THROW(Scenario::builder().lossyTransport(1.5), ContractViolation);
+  EXPECT_THROW(Scenario::builder().linkLoss(1.5), ContractViolation);
   EXPECT_THROW(Scenario::builder().churn(0.0), ContractViolation);
   EXPECT_THROW(
       Scenario::builder().churn(0.01).sessionChurn(sim::SessionDistribution{}),
@@ -90,8 +89,8 @@ TEST(Scenario, MoveKeepsWiringAlive) {
 
 TEST(Scenario, PaperStaticPresetIsReadyToCast) {
   const auto scenario = Scenario::paperStatic(/*nodes=*/300, /*seed=*/6);
-  const auto point =
-      measureEffectiveness(scenario, Strategy::kRingCast, 3, 10, 99);
+  const auto point = ParallelSweep().measureEffectiveness(
+      scenario, Strategy::kRingCast, 3, 10, 99);
   EXPECT_EQ(point.avgMissPercent, 0.0);
   EXPECT_EQ(point.completePercent, 100.0);
 }

@@ -24,9 +24,7 @@ struct LiveHarness {
                        std::uint64_t seed = 1, bool withRing = true)
       : network(n, seed),
         router(network),
-        transport([this](NodeId to, const net::Message& m) {
-          router.deliver(to, m);
-        }),
+        transport(router),
         cyclon(network, transport, router, {20, 8}, seed + 1),
         vicinity(network, transport, router, cyclon, {}, seed + 2),
         live(network, transport, router, cyclon,

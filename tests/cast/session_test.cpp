@@ -206,37 +206,27 @@ TEST(LiveSession, UnknownDataIdRejected) {
   EXPECT_THROW(session.report(123456), ContractViolation);
 }
 
-TEST(LiveSession, DelayedTransportSpreadsTheWaveOverCycles) {
-  Scenario scenario = Scenario::builder()
-                          .nodes(200)
-                          .seed(21)
-                          .delayedTransport(1, 3)
-                          .build();
-  auto& session = scenario.liveSession(ringOptions());
-  const auto atPublish = session.publish(0);
-  // Everything is still in flight right after publish...
-  EXPECT_GT(atPublish.missRatioPercent(), 50.0);
-  ASSERT_NE(scenario.delayedTransport(), nullptr);
-  // ...and the engine's transport pump delivers it over the next cycles.
-  scenario.runCycles(100);
-  const auto settled = session.report(session.lastDataId());
-  EXPECT_EQ(settled.missRatioPercent(), 0.0);
-}
-
-TEST(LiveSession, LossyTransportLosesMessagesButPullRepairs) {
+TEST(LiveSession, LinkLossLosesPushMessagesButPullRepairs) {
+  // Loss engages only after the warm-up, so the overlay self-organises
+  // on clean links; then the push wave loses messages on lossy links and
+  // pull backfills what it missed (Sanghavi et al.).
   Scenario scenario = Scenario::builder()
                           .nodes(300)
                           .seed(22)
-                          .lossyTransport(0.10)
+                          .linkLoss(0.30)
+                          .conditionsFromCycle(Scenario::Config{}.warmupCycles)
                           .build();
   auto& session = scenario.liveSession({.strategy = Strategy::kPushPull,
                                         .fanout = 3,
                                         .pullInterval = 1});
-  const auto atPush = session.publish(0);
-  EXPECT_GT(atPush.missRatioPercent(), 0.0);  // 10% loss bites at F=3
+  session.publish(0);
   scenario.runCycles(8);
   const auto settled = session.report(session.lastDataId());
-  EXPECT_LT(settled.missRatioPercent(), atPush.missRatioPercent());
+  const auto& stats = session.live().stats(session.lastDataId());
+  ASSERT_NE(scenario.networkModel(), nullptr);
+  EXPECT_GT(scenario.networkModel()->droppedByLoss(), 0u);
+  EXPECT_LT(stats.pushDelivered, settled.aliveTotal);  // loss bit the push
+  EXPECT_GT(stats.pullDelivered, 0u);                  // pull repaired some
 }
 
 }  // namespace

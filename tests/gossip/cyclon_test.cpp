@@ -23,9 +23,7 @@ struct CyclonHarness {
                          std::uint64_t seed = 1)
       : network(n, seed),
         router(network),
-        transport([this](NodeId to, const net::Message& m) {
-          router.deliver(to, m);
-        }),
+        transport(router),
         cyclon(network, transport, router, params, seed + 1),
         engine(network, seed + 2) {
     engine.addProtocol(cyclon);
@@ -41,8 +39,7 @@ struct CyclonHarness {
 TEST(Cyclon, ParamsValidated) {
   sim::Network net(4, 1);
   sim::MessageRouter router(net);
-  net::ImmediateTransport transport(
-      [&router](NodeId to, const net::Message& m) { router.deliver(to, m); });
+  net::ImmediateTransport transport(router);
   EXPECT_THROW(Cyclon(net, transport, router, {0, 1}, 1), ContractViolation);
   EXPECT_THROW(Cyclon(net, transport, router, {5, 0}, 1), ContractViolation);
   EXPECT_THROW(Cyclon(net, transport, router, {5, 6}, 1), ContractViolation);

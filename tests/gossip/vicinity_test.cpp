@@ -25,9 +25,7 @@ struct VicinityHarness {
                            ProfileFn profile = {})
       : network(n, seed),
         router(network),
-        transport([this](NodeId to, const net::Message& m) {
-          router.deliver(to, m);
-        }),
+        transport(router),
         cyclon(network, transport, router, {20, 8}, seed + 1),
         vicinity(network, transport, router, cyclon, vicParams, seed + 2,
                  std::move(profile)),
@@ -52,8 +50,7 @@ struct VicinityHarness {
 TEST(Vicinity, ParamsValidated) {
   sim::Network net(4, 1);
   sim::MessageRouter router(net);
-  net::ImmediateTransport transport(
-      [&router](NodeId to, const net::Message& m) { router.deliver(to, m); });
+  net::ImmediateTransport transport(router);
   Cyclon cyclon(net, transport, router, {5, 3}, 2);
   EXPECT_THROW(Vicinity(net, transport, router, cyclon, {0, 4}, 3),
                ContractViolation);

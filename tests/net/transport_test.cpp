@@ -4,7 +4,10 @@
 
 #include <vector>
 
-#include "common/expect.hpp"
+#include "sim/engine.hpp"
+#include "sim/latency_transport.hpp"
+#include "sim/network.hpp"
+#include "sim/network_model.hpp"
 
 namespace vs07::net {
 namespace {
@@ -12,6 +15,14 @@ namespace {
 struct Delivery {
   NodeId to;
   Message msg;
+};
+
+/// Records every delivery (by copy) for inspection.
+struct RecordingSink final : DeliverySink {
+  void deliver(NodeId to, Message&& msg) override {
+    log.push_back({to, msg});
+  }
+  std::vector<Delivery> log;
 };
 
 Message dataMessage(NodeId from, std::uint64_t id) {
@@ -23,184 +34,27 @@ Message dataMessage(NodeId from, std::uint64_t id) {
 }
 
 TEST(ImmediateTransport, DeliversSynchronously) {
-  std::vector<Delivery> log;
-  ImmediateTransport t(
-      [&](NodeId to, const Message& m) { log.push_back({to, m}); });
+  RecordingSink sink;
+  ImmediateTransport t(sink);
   t.send(7, dataMessage(1, 100));
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].to, 7u);
-  EXPECT_EQ(log[0].msg.dataId, 100u);
+  ASSERT_EQ(sink.log.size(), 1u);
+  EXPECT_EQ(sink.log[0].to, 7u);
+  EXPECT_EQ(sink.log[0].msg.dataId, 100u);
   EXPECT_EQ(t.sent(), 1u);
 }
 
-TEST(ImmediateTransport, NullSinkRejected) {
-  EXPECT_THROW(ImmediateTransport(nullptr), ContractViolation);
-}
-
-TEST(DelayedTransport, FixedLatency) {
-  std::vector<Delivery> log;
-  DelayedTransport t(
-      [&](NodeId to, const Message& m) { log.push_back({to, m}); },
-      /*min=*/2, /*max=*/2);
-  t.send(1, dataMessage(0, 5));
-  EXPECT_TRUE(log.empty());
-  t.tick();
-  EXPECT_TRUE(log.empty());
-  EXPECT_EQ(t.inFlight(), 1u);
-  t.tick();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(t.inFlight(), 0u);
-}
-
-TEST(DelayedTransport, ZeroLatencyDeliversNextTick) {
-  std::vector<Delivery> log;
-  DelayedTransport t(
-      [&](NodeId to, const Message& m) { log.push_back({to, m}); }, 0, 0);
-  t.send(1, dataMessage(0, 5));
-  t.tick();
-  EXPECT_EQ(log.size(), 1u);
-}
-
-TEST(DelayedTransport, FifoAmongSameDueTick) {
-  std::vector<Delivery> log;
-  DelayedTransport t(
-      [&](NodeId to, const Message& m) { log.push_back({to, m}); }, 1, 1);
-  t.send(1, dataMessage(0, 1));
-  t.send(2, dataMessage(0, 2));
-  t.send(3, dataMessage(0, 3));
-  t.tick();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].msg.dataId, 1u);
-  EXPECT_EQ(log[1].msg.dataId, 2u);
-  EXPECT_EQ(log[2].msg.dataId, 3u);
-}
-
-TEST(DelayedTransport, RandomLatencyWithinBounds) {
-  int delivered = 0;
-  DelayedTransport t([&](NodeId, const Message&) { ++delivered; }, 1, 5,
-                     /*seed=*/7);
-  for (int i = 0; i < 100; ++i) t.send(1, dataMessage(0, i));
-  for (int tick = 0; tick < 5; ++tick) t.tick();
-  EXPECT_EQ(delivered, 100);
-}
-
-TEST(DelayedTransport, DrainFlushesEverything) {
-  int delivered = 0;
-  DelayedTransport t([&](NodeId, const Message&) { ++delivered; }, 3, 9,
-                     /*seed=*/11);
-  for (int i = 0; i < 50; ++i) t.send(1, dataMessage(0, i));
-  t.drain();
-  EXPECT_EQ(delivered, 50);
-  EXPECT_EQ(t.inFlight(), 0u);
-}
-
-TEST(DelayedTransport, DeliveryOrderDeterministicUnderRandomLatency) {
-  // Two identically seeded transports must replay the exact same delivery
-  // schedule; the min-heap's (dueTick, seq) key makes the order a pure
-  // function of the latency draws.
-  auto schedule = [](std::uint64_t seed) {
-    std::vector<std::uint64_t> order;
-    DelayedTransport t(
-        [&](NodeId, const Message& m) { order.push_back(m.dataId); },
-        /*min=*/1, /*max=*/7, seed);
-    for (std::uint64_t i = 0; i < 200; ++i) t.send(1, dataMessage(0, i));
-    t.drain();
-    return order;
-  };
-  const auto a = schedule(42);
-  const auto b = schedule(42);
-  const auto c = schedule(43);
-  ASSERT_EQ(a.size(), 200u);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);  // different draws: almost surely a different order
-}
-
-TEST(DelayedTransport, RandomLatenciesDeliverInDueOrderFifoOnTies) {
-  // Reconstruct each message's due tick from the delivery tick and check
-  // the heap pops strictly by (dueTick, send order).
-  struct Obs {
-    std::uint64_t id;
-    int tick;
-  };
-  std::vector<Obs> observed;
-  int now = 0;
-  DelayedTransport t(
-      [&](NodeId, const Message& m) { observed.push_back({m.dataId, now}); },
-      /*min=*/1, /*max=*/5, /*seed=*/9);
-  for (std::uint64_t i = 0; i < 100; ++i) t.send(1, dataMessage(0, i));
-  while (t.inFlight() > 0) {
-    ++now;
-    t.tick();
-  }
-  ASSERT_EQ(observed.size(), 100u);
-  for (std::size_t i = 1; i < observed.size(); ++i) {
-    EXPECT_GE(observed[i].tick, observed[i - 1].tick);
-    if (observed[i].tick == observed[i - 1].tick) {
-      EXPECT_GT(observed[i].id, observed[i - 1].id);  // FIFO among ties
+TEST(ImmediateTransport, ForwardsByMoveNotCopy) {
+  // The message the sink receives must be the very object the caller
+  // sent: same entry buffer, no copy anywhere on the path.
+  struct PointerSink final : DeliverySink {
+    void deliver(NodeId, Message&& msg) override {
+      seenData = msg.entries.data();
+      seenCount = msg.entries.size();
     }
-  }
-}
-
-TEST(DelayedTransport, MinGreaterThanMaxRejected) {
-  EXPECT_THROW(DelayedTransport([](NodeId, const Message&) {}, 5, 2),
-               ContractViolation);
-}
-
-TEST(LossyTransport, ZeroLossForwardsAll) {
-  int delivered = 0;
-  ImmediateTransport inner([&](NodeId, const Message&) { ++delivered; });
-  LossyTransport lossy(inner, 0.0);
-  for (int i = 0; i < 100; ++i) lossy.send(1, dataMessage(0, i));
-  EXPECT_EQ(delivered, 100);
-  EXPECT_EQ(lossy.dropped(), 0u);
-}
-
-TEST(LossyTransport, FullLossDropsAll) {
-  int delivered = 0;
-  ImmediateTransport inner([&](NodeId, const Message&) { ++delivered; });
-  LossyTransport lossy(inner, 1.0);
-  for (int i = 0; i < 100; ++i) lossy.send(1, dataMessage(0, i));
-  EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(lossy.dropped(), 100u);
-}
-
-TEST(LossyTransport, PartialLossApproximatesProbability) {
-  int delivered = 0;
-  ImmediateTransport inner([&](NodeId, const Message&) { ++delivered; });
-  LossyTransport lossy(inner, 0.25, /*seed=*/3);
-  constexpr int kSends = 20'000;
-  for (int i = 0; i < kSends; ++i) lossy.send(1, dataMessage(0, i));
-  EXPECT_NEAR(static_cast<double>(delivered) / kSends, 0.75, 0.02);
-  EXPECT_EQ(lossy.dropped() + static_cast<std::uint64_t>(delivered),
-            static_cast<std::uint64_t>(kSends));
-}
-
-TEST(LossyTransport, BadProbabilityRejected) {
-  ImmediateTransport inner([](NodeId, const Message&) {});
-  EXPECT_THROW(LossyTransport(inner, -0.1), ContractViolation);
-  EXPECT_THROW(LossyTransport(inner, 1.1), ContractViolation);
-}
-
-TEST(Transport, SentCounterCountsAttempts) {
-  ImmediateTransport inner([](NodeId, const Message&) {});
-  LossyTransport lossy(inner, 1.0);
-  lossy.send(1, dataMessage(0, 1));
-  lossy.send(1, dataMessage(0, 2));
-  EXPECT_EQ(lossy.sent(), 2u);   // attempts counted even when dropped
-  EXPECT_EQ(inner.sent(), 0u);   // nothing reached the inner transport
-}
-
-TEST(LossyTransport, ForwardsByMoveNotCopy) {
-  // The message delivered through Lossy -> Immediate must be the very
-  // object the caller sent: same entry buffer, no copy anywhere on the
-  // path.
-  const PeerDescriptor* seenData = nullptr;
-  std::size_t seenCount = 0;
-  ImmediateTransport inner([&](NodeId, const Message& m) {
-    seenData = m.entries.data();
-    seenCount = m.entries.size();
-  });
-  LossyTransport lossy(inner, 0.0);
+    const PeerDescriptor* seenData = nullptr;
+    std::size_t seenCount = 0;
+  } sink;
+  ImmediateTransport t(sink);
 
   Message msg;
   msg.kind = MessageKind::CyclonRequest;
@@ -209,55 +63,31 @@ TEST(LossyTransport, ForwardsByMoveNotCopy) {
     msg.entries.push_back({static_cast<NodeId>(i + 10), 0, 0});
   const PeerDescriptor* sentData = msg.entries.data();
 
-  lossy.send(1, std::move(msg));
-  EXPECT_EQ(seenData, sentData) << "message was copied on the way down";
-  EXPECT_EQ(seenCount, 6u);
+  t.send(1, std::move(msg));
+  EXPECT_EQ(sink.seenData, sentData) << "message was copied on the way down";
+  EXPECT_EQ(sink.seenCount, 6u);
 }
 
-TEST(LossyTransport, AccountingConsistentUnderMoves) {
-  // sent() counts attempts on the decorator, dropped() the losses, and
-  // the inner transport sees exactly the survivors — with every survivor
-  // moved, never copied.
-  std::uint64_t delivered = 0;
-  ImmediateTransport inner([&](NodeId, const Message& m) {
-    ++delivered;
-    ASSERT_EQ(m.entries.size(), 2u);  // payload intact after the moves
-  });
-  LossyTransport lossy(inner, 0.4, /*seed=*/17);
-  for (int i = 0; i < 1'000; ++i) {
-    Message msg;
-    msg.kind = MessageKind::CyclonReply;
-    msg.from = 0;
-    msg.entries.push_back({1, 0, 0});
-    msg.entries.push_back({2, 0, 0});
-    lossy.send(1, std::move(msg));
-  }
-  EXPECT_EQ(lossy.sent(), 1'000u);
-  EXPECT_EQ(inner.sent(), delivered);
-  EXPECT_EQ(lossy.dropped() + delivered, 1'000u);
-  EXPECT_GT(lossy.dropped(), 0u);
-}
-
-TEST(DelayedTransport, RecyclesPayloadBuffersThroughThePool) {
-  // Steady-state traffic through the delayed queue must stop growing the
-  // pool, and senders get recycled entry buffers back via the swap.
-  DelayedTransport t([](NodeId, const Message&) {}, 1, 1);
-  Message scratch;
-  for (int round = 0; round < 50; ++round) {
-    scratch.reset();
-    scratch.kind = MessageKind::VicinityRequest;
-    for (int e = 0; e < 10; ++e)
-      scratch.entries.push_back({static_cast<NodeId>(e + 1), 0, 0});
-    t.send(1, std::move(scratch));
-    t.tick();  // delivers; the slot returns to the freelist
-  }
+TEST(Transport, SentCounterCountsAttempts) {
+  // Every link loses everything: sent() still counts both attempts, the
+  // model attributes both drops to loss, and nothing is ever delivered.
+  sim::Network network(4, 1);
+  sim::Engine engine(network, 2);
+  sim::NetworkConditions conditions;
+  conditions.lossRate = 1.0;
+  sim::NetworkModel model(conditions, network, /*ticksPerCycle=*/1,
+                          /*seed=*/3);
+  RecordingSink sink;
+  sim::LatencyTransport t(engine, sink, sim::LatencyModel::fixed(1),
+                          /*seed=*/4);
+  t.setNetworkModel(&model);
+  t.send(1, dataMessage(0, 1));
+  t.send(1, dataMessage(0, 2));
+  engine.run(3);
+  EXPECT_EQ(t.sent(), 2u);  // attempts counted even when dropped
+  EXPECT_EQ(model.droppedByLoss(), 2u);
+  EXPECT_TRUE(sink.log.empty());
   EXPECT_EQ(t.inFlight(), 0u);
-  EXPECT_EQ(t.pool().inUse(), 0u);
-  EXPECT_EQ(t.pool().capacity(), 1u)
-      << "one-in-flight traffic must reuse a single slot";
-  EXPECT_GE(t.pool().recycledCheckIns(), 48u);
-  // After the first exchange the sender's scratch owns a recycled buffer.
-  EXPECT_GE(scratch.entries.capacity(), 10u);
 }
 
 }  // namespace

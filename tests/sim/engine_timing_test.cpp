@@ -207,13 +207,15 @@ TEST(EngineTiming, ScheduledDeliveriesRunAtTheirDueTick) {
 TEST(EngineTiming, LatencyTransportDeliversThroughTheEngineQueue) {
   Network net(4, 27);
   Engine engine(net, 28, TimingConfig::jittered(4));
-  std::vector<std::pair<NodeId, std::uint64_t>> deliveries;
-  LatencyTransport transport(
-      engine,
-      [&](NodeId to, const net::Message& m) {
-        deliveries.emplace_back(to, m.dataId);
-      },
-      LatencyModel::fixed(2), /*seed=*/1);
+  struct Sink final : net::DeliverySink {
+    void deliver(NodeId to, net::Message&& m) override {
+      deliveries.emplace_back(to, m.dataId);
+    }
+    std::vector<std::pair<NodeId, std::uint64_t>> deliveries;
+  } sink;
+  auto& deliveries = sink.deliveries;
+  LatencyTransport transport(engine, sink, LatencyModel::fixed(2),
+                             /*seed=*/1);
   net::Message msg;
   msg.kind = net::MessageKind::Data;
   msg.from = 0;

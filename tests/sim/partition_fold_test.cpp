@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "analysis/scenario.hpp"
 #include "sim/failures.hpp"
 #include "sim/network_model.hpp"
@@ -66,9 +66,10 @@ TEST(PartitionFold, ArcKillCoverageSeriesBitIdenticalThroughNewApi) {
   // series of every strategy must match to the last bit.
   for (const cast::Strategy strategy :
        {cast::Strategy::kRingCast, cast::Strategy::kRandCast}) {
-    const auto legacyProgress = analysis::measureProgress(
+    analysis::ParallelSweep sweep;
+    const auto legacyProgress = sweep.measureProgress(
         legacy, strategy, /*fanout=*/3, /*runs=*/16, kSeed + 5);
-    const auto foldedProgress = analysis::measureProgress(
+    const auto foldedProgress = sweep.measureProgress(
         folded, strategy, /*fanout=*/3, /*runs=*/16, kSeed + 5);
     ASSERT_EQ(legacyProgress.meanPctRemaining.size(),
               foldedProgress.meanPctRemaining.size());
@@ -82,9 +83,9 @@ TEST(PartitionFold, ArcKillCoverageSeriesBitIdenticalThroughNewApi) {
                 foldedProgress.maxPctRemaining[hop]);
     }
 
-    const auto legacyPoint = analysis::measureEffectiveness(
+    const auto legacyPoint = sweep.measureEffectiveness(
         legacy, strategy, /*fanout=*/3, /*runs=*/16, kSeed + 9);
-    const auto foldedPoint = analysis::measureEffectiveness(
+    const auto foldedPoint = sweep.measureEffectiveness(
         folded, strategy, /*fanout=*/3, /*runs=*/16, kSeed + 9);
     EXPECT_EQ(legacyPoint.avgMissPercent, foldedPoint.avgMissPercent);
     EXPECT_EQ(legacyPoint.completePercent, foldedPoint.completePercent);
