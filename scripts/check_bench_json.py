@@ -60,7 +60,8 @@ PARALLEL_ARRAY_KINDS = {
                    "msgs_per_sec_per_node", "redundancy_ratio",
                    "completed_percent", "tracked_in_flight_max"],
     "latency_percentiles": ["publish_rate_per_cycle", "p50_ticks",
-                            "p99_ticks", "mean_ticks"],
+                            "p99_ticks", "p50_over_floor", "p99_over_floor",
+                            "mean_ticks"],
     # sharded-engine scaling (bench/scale_sweep --engine-threads)
     "thread_scaling": ["threads", "node_cycles_per_sec", "speedup_vs_1",
                        "peak_rss_bytes"],
@@ -123,6 +124,27 @@ def check_thread_scaling(path, entry, i):
     if any(not isinstance(s, (int, float)) or s <= 0 for s in speedups):
         return fail(path, f"series[{i}] speedup_vs_1 must be positive: "
                           f"{speedups}")
+    return True
+
+
+def check_latency_percentiles(path, entry, i):
+    """Semantic checks on one latency_percentiles series (arrays already
+    validated as equal-length non-empty lists): each *_over_floor entry
+    is its percentile over mundinger_floor_ticks."""
+    floor = entry.get("mundinger_floor_ticks")
+    if not isinstance(floor, (int, float)) or floor <= 0:
+        return fail(path, f"series[{i}] mundinger_floor_ticks must be a "
+                          f"positive number, got {floor!r}")
+    for pct in ("p50", "p99"):
+        ticks = entry[f"{pct}_ticks"]
+        ratios = entry[f"{pct}_over_floor"]
+        for t, r in zip(ticks, ratios):
+            if not isinstance(r, (int, float)) or r < 0:
+                return fail(path, f"series[{i}] {pct}_over_floor must be "
+                                  f"non-negative numbers: {ratios}")
+            if abs(r - t / floor) > 1e-9 * max(1.0, abs(r)):
+                return fail(path, f"series[{i}] {pct}_over_floor {r} != "
+                                  f"{pct}_ticks {t} / floor {floor}")
     return True
 
 
@@ -194,6 +216,9 @@ def check(path):
                                   f"arrays disagree in length: {lengths}")
         if entry["kind"] == "thread_scaling":
             if not check_thread_scaling(path, entry, i):
+                return False
+        if entry["kind"] == "latency_percentiles":
+            if not check_latency_percentiles(path, entry, i):
                 return False
     # Benches emitting per-timing-mode scaling sweeps (timing_sensitivity
     # --engine-threads) must label each one distinctly, or consumers

@@ -390,18 +390,19 @@ void LiveCast::forward(NodeId self, NodeId receivedFrom,
     } else {
       addNeighbors(vicinity_->ringNeighbors(self));
     }
-    if (params_.flood) {
-      floodTargets(rlinks, dlinks, self, receivedFrom, targets);
-    } else {
-      selectHybridTargets(rlinks, dlinks, self, receivedFrom, params_.fanout,
-                          rng_, targets);
-    }
-  } else if (params_.flood) {
-    dlinkScratch_.clear();  // no d-link source attached: pure r-link flood
-    floodTargets(rlinks, dlinkScratch_, self, receivedFrom, targets);
+    targets.resize(rlinks.size() + dlinks.size());
+    targets.resize(params_.flood
+                       ? floodTargets(rlinks, dlinks, self, receivedFrom,
+                                      targets)
+                       : hybridTargets(rlinks, dlinks, self, receivedFrom,
+                                       params_.fanout, rng_, targets));
   } else {
-    selectRandomTargets(rlinks, self, receivedFrom, params_.fanout, rng_,
-                        targets);
+    // No d-link source attached: pure r-link flood or RANDCAST.
+    targets.resize(rlinks.size());
+    targets.resize(params_.flood
+                       ? floodTargets(rlinks, {}, self, receivedFrom, targets)
+                       : randomTargets(rlinks, self, receivedFrom,
+                                       params_.fanout, rng_, targets));
   }
   forwardsPerNode_[self] += static_cast<std::uint32_t>(targets.size());
   for (const NodeId target : targets)

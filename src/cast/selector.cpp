@@ -1,96 +1,106 @@
 #include "cast/selector.hpp"
 
 #include <algorithm>
+#include <utility>
+
+#include "common/expect.hpp"
 
 namespace vs07::cast {
 
 namespace {
 
-bool alreadyChosen(const std::vector<NodeId>& out, NodeId candidate) {
-  return std::find(out.begin(), out.end(), candidate) != out.end();
+/// Appends every link that is not `self`, not `receivedFrom` and not
+/// already in out[0, n); returns the new count. The deterministic
+/// component of the flood and hybrid rules.
+std::size_t appendDistinctLinks(std::span<const NodeId> links, NodeId self,
+                                NodeId receivedFrom, NodeId* out,
+                                std::size_t n) {
+  for (const NodeId link : links)
+    if (link != receivedFrom && link != self &&
+        std::find(out, out + n, link) == out + n)
+      out[n++] = link;
+  return n;
 }
 
 }  // namespace
 
-void appendRandomTargets(std::span<const NodeId> pool, NodeId self,
-                         NodeId exclude, std::size_t want, Rng& rng,
-                         std::vector<NodeId>& out) {
-  if (want == 0) return;
-  // The pool is a node's view (≤ ~20 entries), so a copy + partial
-  // shuffle is cheap and exact (every eligible subset equally likely).
-  // The copy lands in a thread-local scratch: selection runs per message
-  // on the hot dissemination path (and concurrently from ParallelSweep
-  // workers), so per-call allocation is the one thing it must not do.
-  thread_local std::vector<NodeId> eligible;
-  eligible.clear();
-  for (const NodeId candidate : pool) {
-    if (candidate == exclude || candidate == self) continue;
-    if (alreadyChosen(out, candidate)) continue;
-    eligible.push_back(candidate);
+std::size_t appendRandomTargets(std::span<const NodeId> pool, NodeId self,
+                                NodeId exclude, std::size_t want, Rng& rng,
+                                std::span<NodeId> out, std::size_t chosen) {
+  VS07_EXPECT(out.size() >= chosen + pool.size());
+  const NodeId* const links = pool.data();
+  const std::size_t size = pool.size();
+  NodeId* const eligible = out.data() + chosen;
+  // Mark the excluded entries in the slots the picks will land in: sender
+  // and self first, then each chosen target. Every pass is a branch-free
+  // compare-and-or over the whole pool, which the compiler vectorises.
+  for (std::size_t k = 0; k < size; ++k)
+    eligible[k] = (links[k] == exclude) | (links[k] == self);
+  for (std::size_t c = 0; c < chosen; ++c) {
+    const NodeId taken = out[c];
+    for (std::size_t k = 0; k < size; ++k) eligible[k] |= links[k] == taken;
   }
-  const std::size_t take = std::min(want, eligible.size());
-  for (std::size_t i = 0; i < take; ++i) {
-    const std::size_t j = i + rng.below(eligible.size() - i);
-    std::swap(eligible[i], eligible[j]);
-    out.push_back(eligible[i]);
+  // Compact the unmarked entries in view order, in place: slot n <= k
+  // only ever overwrites a mark that has been read.
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < size; ++k) {
+    const NodeId keep = eligible[k] ^ 1;
+    eligible[n] = links[k];
+    n += keep;
   }
+  const std::size_t take = std::min(want, n);
+  for (std::size_t i = 0; i < take; ++i)
+    std::swap(eligible[i], eligible[i + rng.below(n - i)]);
+  return chosen + take;
 }
 
-void selectRandomTargets(std::span<const NodeId> rlinks, NodeId self,
-                         NodeId receivedFrom, std::uint32_t fanout, Rng& rng,
-                         std::vector<NodeId>& out) {
-  out.clear();
-  appendRandomTargets(rlinks, self, receivedFrom, fanout, rng, out);
+std::size_t randomTargets(std::span<const NodeId> rlinks, NodeId self,
+                          NodeId receivedFrom, std::uint32_t fanout, Rng& rng,
+                          std::span<NodeId> out) {
+  return appendRandomTargets(rlinks, self, receivedFrom, fanout, rng, out, 0);
 }
 
-void selectHybridTargets(std::span<const NodeId> rlinks,
-                         std::span<const NodeId> dlinks, NodeId self,
-                         NodeId receivedFrom, std::uint32_t fanout, Rng& rng,
-                         std::vector<NodeId>& out) {
-  out.clear();
+std::size_t hybridTargets(std::span<const NodeId> rlinks,
+                          std::span<const NodeId> dlinks, NodeId self,
+                          NodeId receivedFrom, std::uint32_t fanout, Rng& rng,
+                          std::span<NodeId> out) {
+  VS07_EXPECT(out.size() >= rlinks.size() + dlinks.size());
   // Deterministic component: all outgoing d-links, never back to sender.
-  for (const NodeId link : dlinks)
-    if (link != receivedFrom && link != self && !alreadyChosen(out, link))
-      out.push_back(link);
+  const std::size_t n =
+      appendDistinctLinks(dlinks, self, receivedFrom, out.data(), 0);
   // Probabilistic component: top up to the fanout with random r-links.
-  if (out.size() < fanout)
-    appendRandomTargets(rlinks, self, receivedFrom, fanout - out.size(), rng,
-                        out);
+  if (n >= fanout) return n;
+  return appendRandomTargets(rlinks, self, receivedFrom, fanout - n, rng, out,
+                             n);
 }
 
-void floodTargets(std::span<const NodeId> rlinks,
-                  std::span<const NodeId> dlinks, NodeId self,
-                  NodeId receivedFrom, std::vector<NodeId>& out) {
-  out.clear();
-  for (const NodeId link : dlinks)
-    if (link != receivedFrom && link != self && !alreadyChosen(out, link))
-      out.push_back(link);
-  for (const NodeId link : rlinks)
-    if (link != receivedFrom && link != self && !alreadyChosen(out, link))
-      out.push_back(link);
+std::size_t floodTargets(std::span<const NodeId> rlinks,
+                         std::span<const NodeId> dlinks, NodeId self,
+                         NodeId receivedFrom, std::span<NodeId> out) {
+  VS07_EXPECT(out.size() >= rlinks.size() + dlinks.size());
+  const std::size_t n =
+      appendDistinctLinks(dlinks, self, receivedFrom, out.data(), 0);
+  return appendDistinctLinks(rlinks, self, receivedFrom, out.data(), n);
 }
 
-void FloodSelector::selectTargets(const OverlaySnapshot& overlay, NodeId self,
-                                  NodeId receivedFrom,
-                                  std::uint32_t /*fanout*/, Rng& /*rng*/,
-                                  std::vector<NodeId>& out) const {
-  floodTargets(overlay.rlinks(self), overlay.dlinks(self), self, receivedFrom,
-               out);
-}
-
-void RandCastSelector::selectTargets(const OverlaySnapshot& overlay,
-                                     NodeId self, NodeId receivedFrom,
-                                     std::uint32_t fanout, Rng& rng,
-                                     std::vector<NodeId>& out) const {
-  selectRandomTargets(overlay.rlinks(self), self, receivedFrom, fanout, rng,
-                      out);
-}
-
-void HybridSelector::selectTargets(const OverlaySnapshot& overlay, NodeId self,
+void TargetSelector::selectTargets(const OverlaySnapshot& overlay, NodeId self,
                                    NodeId receivedFrom, std::uint32_t fanout,
                                    Rng& rng, std::vector<NodeId>& out) const {
-  selectHybridTargets(overlay.rlinks(self), overlay.dlinks(self), self,
-                      receivedFrom, fanout, rng, out);
+  const auto rlinks = overlay.rlinks(self);
+  const auto dlinks = overlay.dlinks(self);
+  out.resize(rlinks.size() + dlinks.size());
+  switch (rule_) {
+    case Rule::kFlood:
+      out.resize(floodTargets(rlinks, dlinks, self, receivedFrom, out));
+      return;
+    case Rule::kRandom:
+      out.resize(randomTargets(rlinks, self, receivedFrom, fanout, rng, out));
+      return;
+    case Rule::kHybrid:
+      out.resize(
+          hybridTargets(rlinks, dlinks, self, receivedFrom, fanout, rng, out));
+      return;
+  }
 }
 
 }  // namespace vs07::cast

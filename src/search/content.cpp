@@ -56,9 +56,4 @@ ContentPlacement::ContentPlacement(const cast::OverlaySnapshot& overlay,
       itemData_[cursor[holder]++] = item;
 }
 
-bool ContentPlacement::holds(NodeId node, ItemId item) const {
-  const auto held = itemsHeldBy(node);
-  return std::binary_search(held.begin(), held.end(), item);
-}
-
 }  // namespace vs07::search

@@ -12,6 +12,7 @@
 // from compact CSR arrays.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,14 +49,17 @@ class ContentPlacement {
   /// The items held by `node`, ascending by id (empty for non-holders
   /// and for ids outside the placement's population).
   std::span<const ItemId> itemsHeldBy(NodeId node) const {
-    if (node + 1 >= itemOffsets_.size()) return {};
+    if (std::size_t{node} + 1 >= itemOffsets_.size()) return {};
     return {itemData_.data() + itemOffsets_[node],
             itemOffsets_[node + 1] - itemOffsets_[node]};
   }
 
   /// Whether `node` holds a copy of `item` (binary search over the
   /// node's item list).
-  bool holds(NodeId node, ItemId item) const;
+  bool holds(NodeId node, ItemId item) const {
+    const auto held = itemsHeldBy(node);
+    return std::binary_search(held.begin(), held.end(), item);
+  }
 
  private:
   std::uint32_t items_ = 0;

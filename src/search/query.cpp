@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <span>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -14,6 +15,12 @@ namespace {
 /// constants; see common/rng.hpp deriveStreamSeed).
 constexpr std::uint64_t kPickLane = 0x7069636BULL;  // "pick": origin + item
 constexpr std::uint64_t kWalkLane = 0x66777264ULL;  // "fwrd": forwarding
+
+/// Slot `k` of the link list a query forwards over: r-links ++ d-links.
+NodeId linkAt(std::span<const NodeId> rlinks, std::span<const NodeId> dlinks,
+              std::size_t k) {
+  return k < rlinks.size() ? rlinks[k] : dlinks[k - rlinks.size()];
+}
 
 }  // namespace
 
@@ -70,14 +77,6 @@ QuerySession::QuerySession(cast::OverlaySnapshot overlay, QueryOptions options)
   }
 }
 
-void QuerySession::appendLinks(NodeId node, std::vector<NodeId>& out) const {
-  out.clear();
-  const auto r = overlay_.rlinks(node);
-  const auto d = overlay_.dlinks(node);
-  out.insert(out.end(), r.begin(), r.end());
-  out.insert(out.end(), d.begin(), d.end());
-}
-
 NodeId QuerySession::cacheLookup(NodeId node, ItemId item) const {
   if (options_.cacheCapacity == 0) return kNoNode;
   const auto* slots = cache_.data() +
@@ -110,13 +109,12 @@ void QuerySession::seedAdvertisedKnowledge() {
   // steady-state local knowledge Ferretti's nodes accumulate from the
   // gossip stream. Deterministic: alive ids ascending, links in
   // snapshot order, items ascending.
-  std::vector<NodeId> links;
   for (const NodeId node : overlay_.aliveIds()) {
-    appendLinks(node, links);
-    for (const NodeId neighbour : links) {
-      if (neighbour == kNoNode || neighbour >= overlay_.totalIds()) continue;
-      for (const ItemId item : placement_.itemsHeldBy(neighbour))
-        cacheInsert(node, item, neighbour);
+    for (const auto links : {overlay_.rlinks(node), overlay_.dlinks(node)}) {
+      for (const NodeId neighbour : links) {
+        for (const ItemId item : placement_.itemsHeldBy(neighbour))
+          cacheInsert(node, item, neighbour);
+      }
     }
   }
 }
@@ -183,31 +181,47 @@ bool QuerySession::runOne(NodeId origin, ItemId item, SearchReport& report) {
 
 bool QuerySession::runSpreading(NodeId origin, ItemId item, bool flood,
                                 Rng& rng, SearchReport& report) {
+  const std::uint32_t totalIds = overlay_.totalIds();
+  // Message counts stay local until the query ends (both returns).
+  std::uint64_t sent = 0;
+  std::uint64_t toDead = 0;
   frontier_.clear();
   frontier_.push_back(origin);
   for (std::uint32_t hop = 1; hop <= options_.ttl && !frontier_.empty();
        ++hop) {
     nextFrontier_.clear();
     for (const NodeId node : frontier_) {
-      appendLinks(node, linkScratch_);
-      std::size_t targets = linkScratch_.size();
-      if (!flood && options_.fanout < targets) {
-        // Partial Fisher–Yates: the first `fanout` slots become the
-        // distinct random picks. Draw order is fixed, so the rng
-        // consumption is a pure function of the frontier — with or
-        // without the cache layer (it never routes).
-        for (std::size_t i = 0; i < options_.fanout; ++i) {
-          const std::size_t j = i + rng.below(linkScratch_.size() - i);
-          std::swap(linkScratch_[i], linkScratch_[j]);
+      // A node forwards over r-links ++ d-links, read where they lie:
+      // all of them when flooding or when the fanout covers them.
+      // Otherwise a partial Fisher–Yates over the links makes the first
+      // `fanout` slots the distinct random picks. Draw order is fixed, so
+      // the rng consumption is a pure function of the frontier — with or
+      // without the cache layer (it never routes). `displaced_` logs each
+      // swap's write (the latest entry for a slot wins); a slot below the
+      // current pick is never read again.
+      const auto rlinks = overlay_.rlinks(node);
+      const auto dlinks = overlay_.dlinks(node);
+      const std::size_t links = rlinks.size() + dlinks.size();
+      const bool all = flood || options_.fanout >= links;
+      const std::size_t sends = all ? links : options_.fanout;
+      displaced_.clear();
+      const auto slot = [&](std::size_t k) {
+        for (auto it = displaced_.rbegin(); it != displaced_.rend(); ++it)
+          if (it->first == k) return it->second;
+        return linkAt(rlinks, dlinks, k);
+      };
+      for (std::size_t i = 0; i < sends; ++i) {
+        NodeId to;
+        if (all) {
+          to = linkAt(rlinks, dlinks, i);
+        } else {
+          const std::size_t j = i + rng.below(links - i);
+          to = slot(j);
+          displaced_.emplace_back(j, slot(i));
         }
-        targets = options_.fanout;
-      }
-      for (std::size_t i = 0; i < targets; ++i) {
-        const NodeId to = linkScratch_[i];
-        ++report.messagesTotal;
-        if (to == kNoNode || to >= overlay_.totalIds() ||
-            !overlay_.isAlive(to)) {
-          ++report.messagesToDead;
+        ++sent;
+        if (to >= totalIds || !overlay_.isAlive(to)) {
+          ++toDead;
           continue;
         }
         if (visitedEpoch_[to] == epoch_) continue;  // redundant delivery
@@ -216,26 +230,26 @@ bool QuerySession::runSpreading(NodeId origin, ItemId item, bool flood,
         // Resolution is checked at delivery: first a local copy, then
         // the local-knowledge cache. A resolved query stops forwarding
         // immediately (the answer short-circuits the wave).
-        if (placement_.holds(to, item)) {
-          ++report.resolved;
-          ++report.resolvedPerHop[hop];
-          report.hopsToResolveTotal += hop;
-          learnAlongPath(to, item, to, report);
-          return true;
+        const bool direct = placement_.holds(to, item);
+        const NodeId known = direct ? to : cacheLookup(to, item);
+        if (known == kNoNode) {
+          nextFrontier_.push_back(to);
+          continue;
         }
-        if (const NodeId known = cacheLookup(to, item); known != kNoNode) {
-          ++report.resolved;
-          ++report.cacheResolved;
-          ++report.resolvedPerHop[hop];
-          report.hopsToResolveTotal += hop;
-          learnAlongPath(to, item, known, report);
-          return true;
-        }
-        nextFrontier_.push_back(to);
+        report.messagesTotal += sent;
+        report.messagesToDead += toDead;
+        ++report.resolved;
+        if (!direct) ++report.cacheResolved;
+        ++report.resolvedPerHop[hop];
+        report.hopsToResolveTotal += hop;
+        learnAlongPath(to, item, known, report);
+        return true;
       }
     }
     frontier_.swap(nextFrontier_);
   }
+  report.messagesTotal += sent;
+  report.messagesToDead += toDead;
   return false;
 }
 
@@ -252,15 +266,16 @@ bool QuerySession::runWalkers(NodeId origin, ItemId item, Rng& rng,
     for (std::uint32_t w = 0; w < options_.walkers; ++w) {
       const NodeId at = walkerPos_[w];
       if (at == kNoNode) continue;  // dead-ended earlier
-      appendLinks(at, linkScratch_);
-      if (linkScratch_.empty()) {
+      const auto rlinks = overlay_.rlinks(at);
+      const auto dlinks = overlay_.dlinks(at);
+      const std::size_t links = rlinks.size() + dlinks.size();
+      if (links == 0) {
         walkerPos_[w] = kNoNode;
         continue;
       }
-      const NodeId to = linkScratch_[rng.below(linkScratch_.size())];
+      const NodeId to = linkAt(rlinks, dlinks, rng.below(links));
       ++report.messagesTotal;
-      if (to == kNoNode || to >= overlay_.totalIds() ||
-          !overlay_.isAlive(to)) {
+      if (to >= overlay_.totalIds() || !overlay_.isAlive(to)) {
         ++report.messagesToDead;
         walkerPos_[w] = kNoNode;  // the walk is absorbed by the dead node
         continue;

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cast/snapshot.hpp"
@@ -215,8 +216,6 @@ class QuerySession {
   };
   static constexpr ItemId kNoItem = ~ItemId{0};
 
-  /// The links a query forwards over (r-links ++ d-links of `node`).
-  void appendLinks(NodeId node, std::vector<NodeId>& out) const;
   NodeId cacheLookup(NodeId node, ItemId item) const;
   bool cacheInsert(NodeId node, ItemId item, NodeId holder);
   void learnAlongPath(NodeId last, ItemId item, NodeId holder,
@@ -242,7 +241,9 @@ class QuerySession {
   std::vector<NodeId> parent_;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> nextFrontier_;
-  std::vector<NodeId> linkScratch_;
+  // Fisher–Yates writes (slot of r-links ++ d-links, link moved there)
+  // while one node picks its targets; at most `fanout` entries.
+  std::vector<std::pair<std::size_t, NodeId>> displaced_;
   std::vector<NodeId> walkerPos_;
   std::vector<std::vector<NodeId>> walkerPath_;
   std::uint32_t epoch_ = 0;

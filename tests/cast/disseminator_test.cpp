@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "cast/snapshot.hpp"
 #include "common/expect.hpp"
@@ -189,6 +191,117 @@ TEST(Disseminator, DeterministicUnderSeed) {
   EXPECT_TRUE(a.messagesRedundant != c.messagesRedundant ||
               a.newlyNotifiedPerHop != c.newlyNotifiedPerHop ||
               a.notified != c.notified);
+}
+
+/// The per-node hop loop disseminate ran before its one-dispatch
+/// rewrite: a selectTargets call into a vector per forwarding node, and
+/// separate alive/notified lookups per message. The oracle below pins
+/// the rewrite to it report for report.
+DeliveryReport referenceDisseminate(const OverlaySnapshot& overlay,
+                                    const TargetSelector& selector,
+                                    NodeId origin,
+                                    const DisseminationParams& params) {
+  DeliveryReport report;
+  report.fanout = params.fanout;
+  report.origin = origin;
+  report.aliveTotal = overlay.aliveCount();
+  if (params.recordLoad) {
+    report.forwardsPerNode.assign(overlay.totalIds(), 0);
+    report.receivedPerNode.assign(overlay.totalIds(), 0);
+  }
+  Rng rng(params.seed);
+  std::vector<std::uint8_t> notified(overlay.totalIds(), 0);
+  std::vector<std::pair<NodeId, NodeId>> frontier{{origin, kNoNode}};
+  std::vector<std::pair<NodeId, NodeId>> next;
+  std::vector<NodeId> targets;
+  notified[origin] = 1;
+  report.notified = 1;
+  report.newlyNotifiedPerHop.push_back(1);
+  std::uint32_t hop = 0;
+  while (!frontier.empty()) {
+    next.clear();
+    for (const auto& [node, from] : frontier) {
+      selector.selectTargets(overlay, node, from, params.fanout, rng,
+                             targets);
+      if (params.recordLoad)
+        report.forwardsPerNode[node] +=
+            static_cast<std::uint32_t>(targets.size());
+      for (const NodeId target : targets) {
+        ++report.messagesTotal;
+        if (!overlay.isAlive(target)) {
+          ++report.messagesToDead;
+          continue;
+        }
+        if (params.recordLoad) ++report.receivedPerNode[target];
+        if (notified[target]) {
+          ++report.messagesRedundant;
+          continue;
+        }
+        notified[target] = 1;
+        ++report.messagesVirgin;
+        ++report.notified;
+        next.push_back({target, node});
+      }
+    }
+    ++hop;
+    if (!next.empty()) {
+      report.newlyNotifiedPerHop.push_back(next.size());
+      report.lastHop = hop;
+    }
+    frontier.swap(next);
+  }
+  for (const NodeId id : overlay.aliveIds())
+    if (!notified[id]) report.missed.push_back(id);
+  report.pushDelivered = report.notified;
+  return report;
+}
+
+TEST(Disseminator, MatchesThePerNodeSelectorLoopOnEveryRule) {
+  // Random overlays with dead nodes, duplicate and self links, and
+  // d-link sets of 0-4 entries; every selector, several fanouts, load
+  // recording on and off.
+  const FloodSelector flood;
+  const RandCastSelector randCast;
+  const RingCastSelector ringCast;
+  const MultiRingCastSelector multiRing;
+  const std::vector<const TargetSelector*> selectors{&flood, &randCast,
+                                                      &ringCast, &multiRing};
+  Rng gen(41);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto ids = static_cast<NodeId>(2 + gen.below(200));
+    std::vector<OverlaySnapshot::NodeLinks> links(ids);
+    std::vector<std::uint8_t> alive(ids, 1);
+    for (NodeId id = 0; id < ids; ++id) {
+      for (std::size_t k = gen.below(25); k > 0; --k)
+        links[id].rlinks.push_back(static_cast<NodeId>(gen.below(ids)));
+      for (std::size_t k = gen.below(5); k > 0; --k)
+        links[id].dlinks.push_back(static_cast<NodeId>(gen.below(ids)));
+      if (id > 0 && gen.chance(0.1)) alive[id] = 0;
+    }
+    const OverlaySnapshot overlay{std::move(links), std::move(alive)};
+    for (const TargetSelector* selector : selectors) {
+      for (const std::uint32_t fanout : {1u, 2u, 3u, 7u}) {
+        const std::uint64_t seed = gen();
+        const DisseminationParams p = params(fanout, seed, gen.chance(0.5));
+        const auto got = disseminate(overlay, *selector, 0, p);
+        const auto want = referenceDisseminate(overlay, *selector, 0, p);
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " "
+                                        << selector->name() << " F="
+                                        << fanout);
+        EXPECT_EQ(got.notified, want.notified);
+        EXPECT_EQ(got.pushDelivered, want.pushDelivered);
+        EXPECT_EQ(got.newlyNotifiedPerHop, want.newlyNotifiedPerHop);
+        EXPECT_EQ(got.lastHop, want.lastHop);
+        EXPECT_EQ(got.messagesTotal, want.messagesTotal);
+        EXPECT_EQ(got.messagesVirgin, want.messagesVirgin);
+        EXPECT_EQ(got.messagesRedundant, want.messagesRedundant);
+        EXPECT_EQ(got.messagesToDead, want.messagesToDead);
+        EXPECT_EQ(got.missed, want.missed);
+        EXPECT_EQ(got.forwardsPerNode, want.forwardsPerNode);
+        EXPECT_EQ(got.receivedPerNode, want.receivedPerNode);
+      }
+    }
+  }
 }
 
 }  // namespace

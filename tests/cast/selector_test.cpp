@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "cast/snapshot.hpp"
 
@@ -196,6 +198,73 @@ TEST(Selectors, EmptyLinksYieldNoTargets) {
   out = {99};
   rand.selectTargets(overlay, 0, kNoNode, 5, rng, out);
   EXPECT_TRUE(out.empty());
+}
+
+/// The copy-and-shuffle top-up that appendRandomTargets replaced, kept
+/// verbatim as the oracle for its output and its rng consumption.
+void referenceAppendRandomTargets(std::span<const NodeId> pool, NodeId self,
+                                  NodeId exclude, std::size_t want, Rng& rng,
+                                  std::vector<NodeId>& out) {
+  if (want == 0) return;
+  std::vector<NodeId> eligible;
+  for (const NodeId candidate : pool) {
+    if (candidate == exclude || candidate == self) continue;
+    if (contains(out, candidate)) continue;
+    eligible.push_back(candidate);
+  }
+  const std::size_t take = std::min(want, eligible.size());
+  for (std::size_t i = 0; i < take; ++i) {
+    const std::size_t j = i + rng.below(eligible.size() - i);
+    std::swap(eligible[i], eligible[j]);
+    out.push_back(eligible[i]);
+  }
+}
+
+TEST(AppendRandomTargets, MatchesTheCopyAndShuffleReference) {
+  Rng gen(2024);
+  std::size_t widePools = 0;
+  std::size_t starved = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    // Pools up to 80 entries drawn from a small id range, so entries
+    // repeat and self, the sender and chosen targets all land in them.
+    const std::size_t poolSize = gen.below(81);
+    const NodeId range = static_cast<NodeId>(1 + gen.below(poolSize + 4));
+    const auto draw = [&] {
+      return gen.chance(0.05) ? kNoNode
+                              : static_cast<NodeId>(gen.below(range));
+    };
+    std::vector<NodeId> pool(poolSize);
+    for (NodeId& entry : pool) entry = draw();
+    const NodeId self = draw();
+    const NodeId exclude = draw();
+    std::vector<NodeId> chosen(gen.below(4));
+    for (NodeId& entry : chosen) entry = draw();
+    const std::size_t want = gen.below(poolSize + 3);
+    const std::uint64_t seed = gen();
+
+    Rng referenceRng(seed);
+    std::vector<NodeId> expected = chosen;
+    referenceAppendRandomTargets(pool, self, exclude, want, referenceRng,
+                                 expected);
+
+    // Exactly the documented room, so a sanitizer sees any overrun.
+    std::vector<NodeId> out(chosen.size() + pool.size());
+    std::copy(chosen.begin(), chosen.end(), out.begin());
+    Rng rng(seed);
+    out.resize(appendRandomTargets(pool, self, exclude, want, rng, out,
+                                   chosen.size()));
+
+    ASSERT_EQ(out, expected) << "trial " << trial << " pool " << poolSize
+                             << " want " << want;
+    for (int next = 0; next < 3; ++next)
+      ASSERT_EQ(rng(), referenceRng()) << "trial " << trial;
+    widePools += poolSize > 64;
+    starved += expected.size() - chosen.size() < want;
+  }
+  // The sweep covered pools wider than a 64-bit mask and wants past the
+  // eligible count.
+  EXPECT_GT(widePools, 2'000u);
+  EXPECT_GT(starved, 2'000u);
 }
 
 }  // namespace

@@ -61,6 +61,18 @@ TEST(ContentPlacement, NodeToItemInversionMatchesHolderSets) {
   EXPECT_EQ(fromItems, 16u * 4u);
 }
 
+TEST(ContentPlacement, IdsOutsideThePopulationHoldNothing) {
+  // kNoNode is the "no link" marker snapshots may carry; it and the first
+  // id past the population must read as empty, never index the CSR.
+  const auto overlay = quickScenario().snapshotRing();
+  const ContentPlacement placement(overlay, 16, 4, 7);
+  for (const NodeId outside : {overlay.totalIds(), kNoNode}) {
+    EXPECT_TRUE(placement.itemsHeldBy(outside).empty()) << outside;
+    for (ItemId item = 0; item < placement.items(); ++item)
+      EXPECT_FALSE(placement.holds(outside, item)) << outside;
+  }
+}
+
 TEST(QuerySession, ReportBookkeepingIsConsistent) {
   const auto scenario = quickScenario();
   auto session = scenario.querySession(QueryOptions::ttlGossip(6, 2));
