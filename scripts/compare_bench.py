@@ -2,21 +2,22 @@
 """Compares the repo benchmark between two checkouts, run in alternating pairs.
 
     scripts/compare_bench.py --parent DIR --change DIR [--workloads a,b]
-        [--pairs 10] [--seed 1] [--seconds 15] [--traced-pairs 0]
-        [--json OUT]
+        [--pairs 10] [--seed 1] [--traced-pairs 0] [--json OUT]
 
 Each checkout builds and runs its own perfbench/run.py (the benchmark
 code of both sides should be identical; the script warns when the two
-BENCHMARK.json files differ). For every workload it runs --pairs
-parent/change pairs, alternating which side runs first, with --trace 0,
-then --traced-pairs pairs with --trace 1 for the per-layer metrics.
+BENCHMARK.json files differ), always for BENCHMARK.json's run_seconds.
+For every workload it runs --pairs (at least 10) parent/change pairs,
+alternating which side runs first, with --trace 0, then --traced-pairs
+pairs with --trace 1 for the per-layer metrics.
 
 For every (workload, end-to-end metric) it prints each side's median and
 quartiles, the pairs the change won (ties count for neither), and a
 verdict under the rules of BENCHMARK.json's bounds:
 
-  gain        the change won >= 9/10 of the pairs and its median beats
-              the parent's by more than the parent's interquartile range
+  gain        at least 10 pairs ran, the change won >= 9/10 of them and
+              its median beats the parent's by more than the parent's
+              interquartile range
   regression  the change's median is worse than the parent's by more
               than the metric's bound (a fraction of the parent median)
   unresolved  neither, and the parent's interquartile range is wider
@@ -32,11 +33,12 @@ host_slowdown (the host-speed probe ops_per_s is scaled by), its
 per-layer timings are divided by it, so a busy host does not read as a
 slower layer.
 
---json writes the machine (CPU count and model, compiler), the
-settings, every run and every summary. An existing file is updated:
-comparisons for other (workload, seed, seconds) triples are kept.
-Exit status: 0 when every run was correct and nothing regressed, 1
-otherwise, 2 on bad arguments.
+--json adds one comparison per workload to the record: the machine (CPU
+count and model, compiler), the settings, every run and every summary.
+Comparisons already in the file stay; the script refuses to start when
+the file already holds one for a requested (workload, seed), so a rerun
+never drops earlier runs from a record. Exit status: 0 when every run
+was correct and nothing regressed, 1 otherwise, 2 on bad arguments.
 """
 import argparse
 import json
@@ -83,6 +85,8 @@ def machine():
 # for how slowly the host ran (1.0 = the reference machine when quiet).
 TIME_UNITS = ("ms", "s")
 HOST_SLOWDOWN = "host_slowdown"
+# Fewest pairs a gain verdict may rest on (the choosing-metrics rule).
+MIN_PAIRS = 10
 
 
 def printed_value(lines, name):
@@ -159,7 +163,8 @@ def summarise(metric, parent_runs, change_runs):
     spread = p3 - p1
     gain = sign * (cm - pm)
     bound = metric.get("bound")
-    if wins >= 0.9 * len(parent) and gain > spread:
+    if len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and \
+            gain > spread:
         verdict = "gain"
     elif bound is not None and -gain > bound * abs(pm):
         verdict = "regression"
@@ -217,19 +222,19 @@ def failed_share(runs):
 
 
 def compare(spec, sides, workload, args):
-    log(f"{workload}: {args.pairs} pairs, seed {args.seed}, "
-        f"{args.seconds:g} s")
-    runs = run_pairs(sides, workload, args.seed, args.seconds, args.pairs,
+    seconds = spec["run_seconds"]
+    log(f"{workload}: {args.pairs} pairs, seed {args.seed}, {seconds:g} s")
+    runs = run_pairs(sides, workload, args.seed, seconds, args.pairs,
                      trace=False)
-    traced = (run_pairs(sides, workload, args.seed, args.seconds,
+    traced = (run_pairs(sides, workload, args.seed, seconds,
                         args.traced_pairs, trace=True)
               if args.traced_pairs else {"parent": [], "change": []})
     correct = all(r["correct"] and r["exit"] == 0
                   for side in runs.values() for r in side)
     failures = {side: failed_share(side_runs)
                 for side, side_runs in runs.items()}
-    return {"workload": workload, "seed": args.seed,
-            "seconds": args.seconds, "pairs": args.pairs,
+    return {"workload": workload, "seed": args.seed, "seconds": seconds,
+            "machine": machine(), "pairs": args.pairs,
             "traced_pairs": args.traced_pairs, "correct": correct,
             "failed_share": failures,
             "more_failures": failures["change"] > failures["parent"],
@@ -279,16 +284,18 @@ def print_comparison(result):
                   f" {row['wins']}/{row['pairs']} won")
 
 
+def load_record(path):
+    """The --json record at `path`; an empty one if there is no file."""
+    if not os.path.exists(path):
+        return {"comparisons": []}
+    with open(path) as f:
+        return json.load(f)
+
+
 def write_json(path, meta, results):
-    document = {"comparisons": []}
-    if os.path.exists(path):
-        with open(path) as f:
-            document = json.load(f)
+    document = load_record(path)
     document.update(meta)
-    fresh = {(r["workload"], r["seed"], r["seconds"]) for r in results}
-    document["comparisons"] = [
-        r for r in document.get("comparisons", [])
-        if (r["workload"], r["seed"], r["seconds"]) not in fresh] + results
+    document["comparisons"] += results
     with open(path, "w") as f:
         json.dump(document, f, indent=1)
         f.write("\n")
@@ -305,7 +312,6 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced-pairs", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--json", help="write or update this JSON file")
     args = parser.parse_args()
 
@@ -323,21 +329,30 @@ def main():
     unknown = sorted(set(workloads) - set(names))
     if unknown:
         parser.error(f"unknown workloads {unknown}; known: {names}")
-    if args.pairs < 1 or args.traced_pairs < 0:
-        parser.error("--pairs must be >= 1 and --traced-pairs >= 0")
-    if args.seconds is None:
-        args.seconds = float(spec["run_seconds"])
+    if args.pairs < MIN_PAIRS or args.traced_pairs < 0:
+        parser.error(f"--pairs must be >= {MIN_PAIRS} and "
+                     f"--traced-pairs >= 0")
+    if args.json:
+        try:
+            held = {(r["workload"], r["seed"])
+                    for r in load_record(args.json)["comparisons"]}
+        except (OSError, ValueError, KeyError) as error:
+            parser.error(f"cannot read {args.json}: {error}")
+        clash = [w for w in workloads if (w, args.seed) in held]
+        if clash:
+            parser.error(f"{args.json} already holds seed {args.seed} "
+                         f"comparisons for {clash}; write another file")
 
     results = [compare(spec, sides, w, args) for w in workloads]
     for result in results:
         print_comparison(result)
     if args.json:
-        write_json(args.json, {"machine": machine(),
-                               "rule": "gain: change wins >= 9/10 pairs and "
-                                       "its median beats the parent's by "
-                                       "more than the parent's IQR; "
-                                       "regression: median worse by more "
-                                       "than the BENCHMARK.json bound"},
+        write_json(args.json, {"rule": "gain: at least 10 pairs, change wins "
+                                       ">= 9/10 of them and its median "
+                                       "beats the parent's by more than the "
+                                       "parent's IQR; regression: median "
+                                       "worse by more than the "
+                                       "BENCHMARK.json bound"},
                    results)
     bad = [r["workload"] for r in results
            if not r["correct"] or r["more_failures"] or

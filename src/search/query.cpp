@@ -191,34 +191,28 @@ bool QuerySession::runSpreading(NodeId origin, ItemId item, bool flood,
        ++hop) {
     nextFrontier_.clear();
     for (const NodeId node : frontier_) {
-      // A node forwards over r-links ++ d-links, read where they lie:
-      // all of them when flooding or when the fanout covers them.
-      // Otherwise a partial Fisher–Yates over the links makes the first
+      // A node forwards over r-links ++ d-links: all of them, read where
+      // they lie, when flooding or when the fanout covers them.
+      // Otherwise a partial Fisher–Yates over a copy makes the first
       // `fanout` slots the distinct random picks. Draw order is fixed, so
       // the rng consumption is a pure function of the frontier — with or
-      // without the cache layer (it never routes). `displaced_` logs each
-      // swap's write (the latest entry for a slot wins); a slot below the
-      // current pick is never read again.
+      // without the cache layer (it never routes).
       const auto rlinks = overlay_.rlinks(node);
       const auto dlinks = overlay_.dlinks(node);
       const std::size_t links = rlinks.size() + dlinks.size();
-      const bool all = flood || options_.fanout >= links;
-      const std::size_t sends = all ? links : options_.fanout;
-      displaced_.clear();
-      const auto slot = [&](std::size_t k) {
-        for (auto it = displaced_.rbegin(); it != displaced_.rend(); ++it)
-          if (it->first == k) return it->second;
-        return linkAt(rlinks, dlinks, k);
-      };
-      for (std::size_t i = 0; i < sends; ++i) {
-        NodeId to;
-        if (all) {
-          to = linkAt(rlinks, dlinks, i);
-        } else {
+      const bool partial = !flood && options_.fanout < links;
+      if (partial) {
+        linkScratch_.assign(rlinks.begin(), rlinks.end());
+        linkScratch_.insert(linkScratch_.end(), dlinks.begin(), dlinks.end());
+        for (std::size_t i = 0; i < options_.fanout; ++i) {
           const std::size_t j = i + rng.below(links - i);
-          to = slot(j);
-          displaced_.emplace_back(j, slot(i));
+          std::swap(linkScratch_[i], linkScratch_[j]);
         }
+      }
+      const std::size_t sends = partial ? options_.fanout : links;
+      for (std::size_t i = 0; i < sends; ++i) {
+        const NodeId to =
+            partial ? linkScratch_[i] : linkAt(rlinks, dlinks, i);
         ++sent;
         if (to >= totalIds || !overlay_.isAlive(to)) {
           ++toDead;

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cast/snapshot.hpp"
@@ -241,9 +240,8 @@ class QuerySession {
   std::vector<NodeId> parent_;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> nextFrontier_;
-  // Fisher–Yates writes (slot of r-links ++ d-links, link moved there)
-  // while one node picks its targets; at most `fanout` entries.
-  std::vector<std::pair<std::size_t, NodeId>> displaced_;
+  // r-links ++ d-links of the node a TTL-gossip query is shuffling.
+  std::vector<NodeId> linkScratch_;
   std::vector<NodeId> walkerPos_;
   std::vector<std::vector<NodeId>> walkerPath_;
   std::uint32_t epoch_ = 0;
