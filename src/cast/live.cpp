@@ -11,20 +11,23 @@ MessageStore::MessageStore(std::uint32_t capacity) : capacity_(capacity) {
   VS07_EXPECT(capacity > 0);
 }
 
-bool MessageStore::hasSeen(std::uint64_t dataId) const {
-  return seen_.contains(dataId);
-}
-
 void MessageStore::remember(std::uint64_t dataId) {
-  if (hasSeen(dataId)) return;
-  buffer_.push_back(dataId);
-  seen_.emplace(dataId, 1);
-  if (buffer_.size() > capacity_) {
-    maxEvicted_ = std::max(maxEvicted_, buffer_.front());
-    seen_.erase(buffer_.front());
-    buffer_.pop_front();
+  if (seen_.contains(dataId)) return;
+  if (size() == capacity_) {
+    // Evict before inserting: same survivors as insert-then-evict, and
+    // the seen-set never holds more than capacity ids.
+    const std::uint64_t oldest = fifo_[head_++];
+    maxEvicted_ = std::max(maxEvicted_, oldest);
+    seen_.erase(oldest);
     evicted_ = true;
+    if (head_ == capacity_) {
+      fifo_.erase(fifo_.begin(),
+                  fifo_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
   }
+  seen_.insert(dataId);
+  fifo_.push_back(dataId);
 }
 
 std::vector<std::uint64_t> MessageStore::digest(std::size_t limit) const {
@@ -35,23 +38,24 @@ std::vector<std::uint64_t> MessageStore::digest(std::size_t limit) const {
 
 void MessageStore::digestInto(std::size_t limit,
                               std::vector<std::uint64_t>& out) const {
-  const std::size_t take = std::min(limit, buffer_.size());
-  out.assign(buffer_.end() - static_cast<std::ptrdiff_t>(take),
-             buffer_.end());
+  const auto held = buffered();
+  const std::size_t take = std::min(limit, held.size());
+  out.assign(held.end() - static_cast<std::ptrdiff_t>(take), held.end());
 }
 
 std::size_t MessageStore::windowInto(std::size_t start, std::size_t limit,
                                      std::vector<std::uint64_t>& out) const {
   out.clear();
-  if (start >= buffer_.size()) return 0;
-  const std::size_t take = std::min(limit, buffer_.size() - start);
-  const auto first = buffer_.begin() + static_cast<std::ptrdiff_t>(start);
-  out.assign(first, first + static_cast<std::ptrdiff_t>(take));
-  return take;
+  const auto held = buffered();
+  if (start >= held.size()) return 0;
+  const auto window = held.subspan(start, std::min(limit, held.size() - start));
+  out.assign(window.begin(), window.end());
+  return window.size();
 }
 
 void MessageStore::clear() {
-  buffer_.clear();
+  std::vector<std::uint64_t>().swap(fifo_);
+  head_ = 0;
   seen_.clear();
   evicted_ = false;
   maxEvicted_ = 0;
@@ -216,6 +220,7 @@ std::uint64_t LiveCast::publish(NodeId origin) {
                                                 stats_.size());
   steady_.peakTrackedBitmapBytes =
       std::max(steady_.peakTrackedBitmapBytes, liveBitmapBytes());
+  stores_[origin].remember(dataId);
   deliverLocally(origin, dataId, /*viaPull=*/false, /*hop=*/0,
                  /*recovery=*/false);
   forward(origin, kNoNode, dataId, /*hop=*/0, /*recovery=*/false);
@@ -316,7 +321,6 @@ void LiveCast::handleData(NodeId self, const net::Message& msg) {
 void LiveCast::deliverLocally(NodeId self, std::uint64_t dataId,
                               bool viaPull, std::uint32_t hop,
                               bool recovery) {
-  stores_[self].remember(dataId);
   // Before the stats lookup: in a multi-process run only the origin owns
   // stats for an id, but every process must see its own deliveries.
   if (deliveryHook_) deliveryHook_(self, dataId, hop, viaPull);
@@ -463,24 +467,33 @@ void LiveCast::drainOutbox() {
 }
 
 void LiveCast::handlePullRequest(NodeId self, const net::Message& msg) {
-  const auto& have = stores_[self].buffered();
-  if ((msg.flags & net::kFlagWindowedDigest) != 0) {
+  const auto have = stores_[self].buffered();
+  const bool windowed = (msg.flags & net::kFlagWindowedDigest) != 0;
+  if (windowed && msg.ids.size() < 2) return;  // malformed
+  // The requester's held ids, sorted once so each buffered id costs a
+  // binary search: a digest may carry kMaxWireEntries ids off the wire,
+  // and a linear scan per buffered id would let one frame cost tens of
+  // millions of comparisons. Candidates are still visited in buffer
+  // order, so every draw below is unchanged.
+  auto& digest = pullDigestScratch_;
+  digest.assign(msg.ids.begin() + (windowed ? 2 : 0), msg.ids.end());
+  std::sort(digest.begin(), digest.end());
+  const auto inDigest = [&digest](std::uint64_t dataId) {
+    return std::binary_search(digest.begin(), digest.end(), dataId);
+  };
+  if (windowed) {
     // Windowed digest: [lo, hi] bounds in ids[0..1], the requester's
     // held ids in ids[2..]. Useful = buffered, inside the bounds, not in
     // the digest. The budget is spent on a *uniform random* subset of
     // the useful ids (random-useful selection, Sanghavi et al.): under
     // many concurrent flows every gap gets equal repair pressure, where
     // newest-first would starve old gaps behind a stream of fresh ids.
-    if (msg.ids.size() < 2) return;  // malformed
     const std::uint64_t lo = msg.ids[0];
     const std::uint64_t hi = msg.ids[1];
     auto& candidates = pullCandidateScratch_;
     candidates.clear();
     for (const std::uint64_t dataId : have) {
-      if (dataId < lo || dataId > hi) continue;
-      if (std::find(msg.ids.begin() + 2, msg.ids.end(), dataId) !=
-          msg.ids.end())
-        continue;
+      if (dataId < lo || dataId > hi || inDigest(dataId)) continue;
       candidates.push_back(dataId);
     }
     const std::size_t take =
@@ -500,8 +513,7 @@ void LiveCast::handlePullRequest(NodeId self, const net::Message& msg) {
   for (auto it = have.rbegin();
        it != have.rend() && sent < params_.pullBudget; ++it) {
     const std::uint64_t dataId = *it;
-    if (std::find(msg.ids.begin(), msg.ids.end(), dataId) != msg.ids.end())
-      continue;
+    if (inDigest(dataId)) continue;
     enqueueData(msg.from, self, dataId, /*hop=*/0, /*viaPull=*/true,
                 /*recovery=*/false);
     ++sent;

@@ -24,17 +24,25 @@
 // are windowed (a rotating slice of the buffer with explicit id bounds)
 // and answers pick random-useful ids within the window, the selection
 // policy of Sanghavi et al., "Gossiping with Multiple Messages".
+//
+// Per message and node the cost is a small constant: each node's
+// MessageStore is a flat FIFO plus an open-addressing id set (no per-id
+// heap node), and answering a pull sorts the requester's digest once
+// and binary-searches it, so even a frame-sized digest off the wire
+// costs O((digest + buffer) log digest), not digest x buffer.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/expect.hpp"
+#include "common/id_set.hpp"
 #include "common/rng.hpp"
 #include "gossip/cyclon.hpp"
 #include "gossip/multiring.hpp"
@@ -51,6 +59,12 @@ namespace vs07::cast {
 /// can no longer be served to pulling peers (§8's "duration for which
 /// nodes maintain old messages").
 ///
+/// Two flat structures, a few dozen bytes per buffered id: the FIFO is
+/// one vector plus a head index (compacted once the consumed prefix
+/// reaches the capacity, so buffered() is one contiguous span), and the
+/// seen-set is an IdSet kept at load <= 1/2. Both grow with the ids
+/// actually buffered, not with the capacity.
+///
 /// Caveat: forgetting implies re-forwarding on re-reception (pinned by
 /// message_store_test). Under *asynchronous* delivery this rule turns
 /// supercritical when capacity is small relative to the ids in flight —
@@ -61,7 +75,7 @@ class MessageStore {
  public:
   explicit MessageStore(std::uint32_t capacity = 64);
 
-  bool hasSeen(std::uint64_t dataId) const;
+  bool hasSeen(std::uint64_t dataId) const { return seen_.contains(dataId); }
 
   /// Records a message; evicts the oldest beyond capacity. No-op if seen.
   void remember(std::uint64_t dataId);
@@ -82,12 +96,13 @@ class MessageStore {
   std::size_t windowInto(std::size_t start, std::size_t limit,
                          std::vector<std::uint64_t>& out) const;
 
-  /// Ids currently buffered (oldest first).
-  const std::deque<std::uint64_t>& buffered() const noexcept {
-    return buffer_;
+  /// Ids currently buffered (oldest first). Valid until the next
+  /// remember() or clear().
+  std::span<const std::uint64_t> buffered() const noexcept {
+    return {fifo_.data() + head_, fifo_.size() - head_};
   }
 
-  std::size_t size() const noexcept { return buffer_.size(); }
+  std::size_t size() const noexcept { return fifo_.size() - head_; }
 
   /// Has capacity ever forced an id out? While false, this node's
   /// buffer is its complete reception history — a pull digest may then
@@ -107,14 +122,18 @@ class MessageStore {
   /// LiveCast::handleData.
   std::uint64_t recoveryHorizon() const noexcept { return maxEvicted_; }
 
+  /// Forgets every id and releases the buffers (a killed node's store
+  /// holds no memory).
   void clear();
 
  private:
   std::uint32_t capacity_;
   bool evicted_ = false;
   std::uint64_t maxEvicted_ = 0;
-  std::deque<std::uint64_t> buffer_;
-  std::unordered_map<std::uint64_t, std::uint8_t> seen_;
+  /// Buffered ids are fifo_[head_, size()), oldest first.
+  std::vector<std::uint64_t> fifo_;
+  std::size_t head_ = 0;
+  IdSet seen_;
 };
 
 /// Delivery bookkeeping for one *tracked* published message.
@@ -487,6 +506,8 @@ class LiveCast final : public sim::CycleProtocol,
   /// Windowed-digest scratch (requester side / answerer candidates).
   std::vector<std::uint64_t> windowScratch_;
   std::vector<std::uint64_t> pullCandidateScratch_;
+  /// Answerer side: the requester's digest, sorted for binary search.
+  std::vector<std::uint64_t> pullDigestScratch_;
   std::uint64_t pullsSent_ = 0;
   std::uint64_t pullAnswers_ = 0;
   std::uint64_t pushSent_ = 0;

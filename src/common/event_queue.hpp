@@ -9,6 +9,14 @@
 // identically seeded simulations replay the exact same event order,
 // which is what every determinism suite in this repo leans on.
 //
+// The key is stored implicitly, not sorted: pending ticks are kept in
+// ascending order, each owning a bucket with one FIFO of actions per
+// priority class, so scheduling is a short binary search over the
+// pending ticks plus an append, and executing is a pop from the front of
+// the earliest tick's lowest non-empty class. Emptied buckets are
+// recycled with their capacity, so steady-state traffic schedules
+// without allocating once the per-tick high-water marks are reached.
+//
 // Used by sim::Engine as the simulation core: node timers, message
 // deliveries and cycle-boundary controls all share this one queue. The
 // parallel engine (sim::ShardedEngine) replaces the single global queue
@@ -16,9 +24,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -33,13 +41,16 @@ class EventQueue {
  public:
   using Action = std::function<void()>;
 
-  /// Schedules `action` at (dueTick, priority); ties with already
-  /// scheduled events break FIFO. Returns the sequence number assigned.
-  std::uint64_t schedule(std::uint64_t dueTick, std::uint8_t priority,
-                         Action action);
+  /// Ordering classes within a tick: priorities 0 .. kPriorityClasses-1.
+  static constexpr std::uint8_t kPriorityClasses = 3;
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  /// Schedules `action` at (dueTick, priority); ties with already
+  /// scheduled events break FIFO (seq is the schedule order).
+  /// `priority` must be below kPriorityClasses.
+  void schedule(std::uint64_t dueTick, std::uint8_t priority, Action action);
+
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
 
   /// The current simulated tick: the largest tick ever advanced to.
   std::uint64_t now() const noexcept { return now_; }
@@ -50,29 +61,40 @@ class EventQueue {
   /// Advances now() to `tick` and executes every event with
   /// dueTick <= tick in (dueTick, priority, seq) order. Events scheduled
   /// *during* execution join the same ordering: one due at or before
-  /// `tick` still runs in this call, after the already pending events of
-  /// its (dueTick, priority) class.
+  /// `tick` still runs in this call — after the already pending events
+  /// of its (dueTick, priority) class, but before anything later in the
+  /// order, even when that is a lower class of the running tick or an
+  /// earlier tick.
   void advanceTo(std::uint64_t tick);
 
  private:
-  struct Event {
-    std::uint64_t dueTick;
-    std::uint8_t priority;
-    std::uint64_t seq;
-    Action action;
+  /// One priority class of one tick: actions in seq order, the executed
+  /// prefix ending at `head`.
+  struct Fifo {
+    std::vector<Action> actions;
+    std::size_t head = 0;
   };
-  /// Min-heap order on (dueTick, priority, seq).
-  struct After {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.dueTick != b.dueTick) return a.dueTick > b.dueTick;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
+  /// Every event due at one tick. Lives in ticks_ while it has pending
+  /// events, on the freelist (FIFOs cleared, capacity kept) otherwise.
+  struct Bucket {
+    std::array<Fifo, kPriorityClasses> classes;
+    std::size_t pending = 0;
+  };
+  struct PendingTick {
+    std::uint64_t tick;
+    std::uint32_t bucket;
   };
 
-  std::priority_queue<Event, std::vector<Event>, After> heap_;
+  /// The bucket of `dueTick`, taken from the freelist (or created) and
+  /// inserted in tick order when the tick has none yet.
+  std::uint32_t bucketFor(std::uint64_t dueTick);
+
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> freeBuckets_;
+  /// Ticks with pending events, ascending; each names its bucket.
+  std::vector<PendingTick> ticks_;
+  std::size_t size_ = 0;
   std::uint64_t now_ = 0;
-  std::uint64_t nextSeq_ = 0;
 };
 
 /// Shard-local due-tick queue for the windowed parallel engine

@@ -6,6 +6,10 @@
 // frame teaches the sender's own address (source IP + the listen port
 // carried in the frame header), and every frame's address annex teaches
 // third-party addresses for the peers referenced in its gossip entries.
+// The two are not equally trustworthy — any peer can put anything in an
+// annex — so a self-taught address overwrites anything, while an annex
+// hint only fills a gap or replaces another hint: one third-party entry
+// cannot redirect a peer that has spoken for itself.
 // Sends to a node whose address is still unknown are counted and dropped
 // — indistinguishable from a lost datagram, which the gossip layer
 // already tolerates by design.
@@ -40,23 +44,37 @@ PeerAddress parseAddress(const std::string& host, std::uint16_t port);
 /// Renders "a.b.c.d:port" for logs and control-socket JSON.
 std::string formatAddress(const PeerAddress& addr);
 
+/// Where an address was learned, in increasing order of trust.
+enum class AddressSource : std::uint8_t {
+  /// A third party's claim (a frame's address annex).
+  kHint,
+  /// The peer's own (its frame header, or configured by the operator).
+  kSelf,
+};
+
 /// Dense NodeId -> PeerAddress map for a fixed population.
 class PeerTable {
  public:
   explicit PeerTable(std::uint32_t nodeCount)
-      : addresses_(nodeCount) {}
+      : addresses_(nodeCount), sources_(nodeCount, AddressSource::kHint) {}
 
   std::uint32_t nodeCount() const noexcept {
     return static_cast<std::uint32_t>(addresses_.size());
   }
 
-  /// Records (or overwrites) a peer's address. Last writer wins: a peer
-  /// that rebinds is re-learned from its next frame.
-  void learn(NodeId node, const PeerAddress& addr) {
+  /// Records a peer's address learned from `source`. A self-taught
+  /// address overwrites anything (a peer that rebinds is re-learned from
+  /// its next frame); a hint never overwrites a self-taught address.
+  void learn(NodeId node, const PeerAddress& addr, AddressSource source) {
     VS07_EXPECT(node < addresses_.size());
     if (!addr.valid()) return;
-    if (!addresses_[node].valid()) ++known_;
+    if (!addresses_[node].valid()) {
+      ++known_;
+    } else if (source < sources_[node]) {
+      return;
+    }
     addresses_[node] = addr;
+    sources_[node] = source;
   }
 
   /// The peer's address; !valid() when never learned.
@@ -83,6 +101,7 @@ class PeerTable {
 
  private:
   std::vector<PeerAddress> addresses_;
+  std::vector<AddressSource> sources_;
   std::uint32_t known_ = 0;
 };
 

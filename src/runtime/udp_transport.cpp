@@ -387,12 +387,18 @@ void UdpTransport::handleFrame(std::span<const std::uint8_t> bytes,
   }
   const FrameHeader& header = frame.header;
   // Every frame teaches the sender's address; the annex teaches third
-  // parties. Entries naming unknown-population ids are hostile or stale
-  // input and ignored.
+  // parties, as hints that never override a self-taught address. Annex
+  // entries naming this node are dropped (no peer knows our address
+  // better than we do), and entries naming unknown-population ids are
+  // hostile or stale input and ignored.
   if (header.sender < peers_.nodeCount() && header.senderPort != 0)
-    peers_.learn(header.sender, {fromIp, header.senderPort});
+    peers_.learn(header.sender, {fromIp, header.senderPort},
+                 AddressSource::kSelf);
+  std::erase_if(recvAnnex_,
+                [this](const AddressEntry& e) { return e.node == selfId_; });
   for (const auto& entry : recvAnnex_)
-    if (entry.node < peers_.nodeCount()) peers_.learn(entry.node, entry.addr);
+    if (entry.node < peers_.nodeCount())
+      peers_.learn(entry.node, entry.addr, AddressSource::kHint);
 
   if (header.kind == FrameKind::kGossip) {
     if (!frame.hasPayload) {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "common/expect.hpp"
+#include "common/rng.hpp"
 #include "gossip/cyclon.hpp"
 #include "gossip/vicinity.hpp"
+#include "net/codec.hpp"
 #include "net/transport.hpp"
 #include "sim/bootstrap.hpp"
 #include "sim/churn.hpp"
@@ -308,6 +313,152 @@ TEST(LiveCast, ChurnJoinersCatchUpThroughPull) {
           << "node " << node << " lifetime "
           << h.network.lifetime(node, now);
     }
+}
+
+/// One answering node, wired to capture its sends instead of delivering
+/// them. Node 0's CYCLON view stays empty, so filling its buffer with
+/// push deliveries forwards nothing and draws nothing.
+struct PullProbe {
+  class Capture final : public net::DeliverySink {
+   public:
+    void deliver(NodeId to, net::Message&& msg) override {
+      sent.push_back({to, msg});
+    }
+    std::vector<std::pair<NodeId, net::Message>> sent;
+  };
+
+  explicit PullProbe(LiveCast::Params params)
+      : network(2, /*seed=*/1),
+        router(network),
+        transport(capture),
+        cyclon(network, transport, router, {20, 8}, 2),
+        live(network, transport, router, cyclon, nullptr, params, 3) {}
+
+  void fill(const std::vector<std::uint64_t>& ids) {
+    for (const std::uint64_t id : ids) {
+      net::Message m;
+      m.kind = net::MessageKind::Data;
+      m.from = 1;
+      m.dataId = id;
+      router.deliver(0, std::move(m));
+    }
+    capture.sent.clear();
+  }
+
+  /// Node 0's answer to a pull from node 1 carrying `ids`.
+  std::vector<std::uint64_t> answer(std::vector<std::uint64_t> ids,
+                                    bool windowed) {
+    capture.sent.clear();
+    net::Message request;
+    request.kind = net::MessageKind::PullRequest;
+    request.from = 1;
+    if (windowed) request.flags = net::kFlagWindowedDigest;
+    request.ids = std::move(ids);
+    router.deliver(0, std::move(request));
+    std::vector<std::uint64_t> answered;
+    for (const auto& [to, msg] : capture.sent) {
+      EXPECT_EQ(to, 1u);
+      EXPECT_NE(msg.flags & net::kFlagPullAnswer, 0);
+      answered.push_back(msg.dataId);
+    }
+    return answered;
+  }
+
+  sim::Network network;
+  sim::MessageRouter router;
+  Capture capture;
+  net::ImmediateTransport transport;
+  gossip::Cyclon cyclon;
+  LiveCast live;
+};
+
+/// The useful ids of a pull by the plain reference: a linear scan of the
+/// digest per buffered id.
+std::vector<std::uint64_t> linearUseful(std::span<const std::uint64_t> have,
+                                        const std::vector<std::uint64_t>& ids,
+                                        bool windowed) {
+  const auto digestBegin = ids.begin() + (windowed ? 2 : 0);
+  std::vector<std::uint64_t> useful;
+  for (const std::uint64_t id : have) {
+    if (windowed && (id < ids[0] || id > ids[1])) continue;
+    if (std::find(digestBegin, ids.end(), id) != ids.end()) continue;
+    useful.push_back(id);
+  }
+  return useful;
+}
+
+TEST(LiveCast, PullAnswersMatchTheLinearScanReference) {
+  // Random buffers and digests (bounds anywhere, digests mixing held and
+  // foreign ids, duplicates, 0 and ~0): a windowed answer serves exactly
+  // the useful ids when the budget covers them and a budget-sized subset
+  // otherwise; a legacy answer serves the newest useful ids in order.
+  Rng rng(77);
+  for (int round = 0; round < 200; ++round) {
+    LiveCast::Params params;
+    params.bufferCapacity = 1 + static_cast<std::uint32_t>(rng.below(48));
+    params.pullBudget = 1 + static_cast<std::uint32_t>(rng.below(64));
+    PullProbe probe(params);
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t i = rng.below(80); i > 0; --i)
+      ids.push_back(rng.below(4) == 0 ? ~std::uint64_t{0} - rng.below(3)
+                                      : rng.below(100));
+    probe.fill(ids);
+    const auto have = probe.live.store(0).buffered();
+
+    const bool windowed = rng.below(2) == 0;
+    std::vector<std::uint64_t> request;
+    if (windowed) {
+      const std::uint64_t lo = rng.below(3) == 0 ? 0 : rng.below(60);
+      const std::uint64_t hi =
+          rng.below(3) == 0 ? ~std::uint64_t{0} : lo + rng.below(60);
+      request = {lo, hi};
+    }
+    for (std::uint64_t i = rng.below(40); i > 0; --i)
+      request.push_back(rng.below(2) == 0 && !have.empty()
+                            ? have[rng.below(have.size())]
+                            : rng.below(120));
+    const auto useful = linearUseful(have, request, windowed);
+    const auto answered = probe.answer(request, windowed);
+    const std::size_t budget = params.pullBudget;
+    ASSERT_EQ(answered.size(), std::min(budget, useful.size()))
+        << "round " << round;
+    if (windowed) {
+      for (const std::uint64_t id : answered)
+        ASSERT_NE(std::find(useful.begin(), useful.end(), id), useful.end());
+      auto sorted = answered;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+                sorted.end());  // no id served twice
+    } else {
+      ASSERT_TRUE(std::equal(answered.begin(), answered.end(),
+                             useful.rbegin()));
+    }
+  }
+}
+
+TEST(LiveCast, MaximalPullDigestIsAnswered) {
+  // A frame-sized windowed digest: [0, ~0] bounds plus 65,534 ids, the
+  // most a PullRequest carries off the wire (kMaxWireEntries). It costs
+  // one sort plus a binary search per buffered id, and the answer still
+  // serves exactly the buffered ids the digest lacks.
+  LiveCast::Params params;
+  params.bufferCapacity = 64;
+  params.pullBudget = 64;
+  PullProbe probe(params);
+  std::vector<std::uint64_t> held;
+  for (std::uint64_t id = 1; id <= 64; ++id) held.push_back(id * 1000);
+  probe.fill(held);
+
+  std::vector<std::uint64_t> request = {0, ~std::uint64_t{0}};
+  for (std::uint64_t i = 0; request.size() < net::kMaxWireEntries; ++i)
+    request.push_back(i % 2 == 0 ? 7 + 1000 * i : 1000 * (i % 64 + 1));
+  ASSERT_EQ(request.size(), 65'536u);
+  const auto useful =
+      linearUseful(probe.live.store(0).buffered(), request, true);
+  ASSERT_FALSE(useful.empty());
+  auto answered = probe.answer(request, true);
+  std::sort(answered.begin(), answered.end());
+  EXPECT_EQ(answered, useful);
 }
 
 }  // namespace

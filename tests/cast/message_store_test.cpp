@@ -5,8 +5,13 @@
 // re-buffers, and re-forwards it (src/cast/live.cpp, handleData).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <unordered_set>
+
 #include "cast/live.hpp"
 #include "common/expect.hpp"
+#include "common/rng.hpp"
 #include "gossip/cyclon.hpp"
 #include "gossip/vicinity.hpp"
 #include "net/transport.hpp"
@@ -128,6 +133,110 @@ TEST(MessageStore, WindowedSliceRotatesWithoutWrapping) {
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(store.windowInto(99, 4, out), 0u);
   EXPECT_EQ(store.size(), 6u);
+}
+
+/// The store's contract as a plain model: a std::deque FIFO and a
+/// std::unordered_set of the ids it holds.
+struct StoreModel {
+  explicit StoreModel(std::uint32_t capacity) : capacity(capacity) {}
+
+  void remember(std::uint64_t id) {
+    if (seen.contains(id)) return;
+    buffer.push_back(id);
+    seen.insert(id);
+    if (buffer.size() > capacity) {
+      maxEvicted = std::max(maxEvicted, buffer.front());
+      seen.erase(buffer.front());
+      buffer.pop_front();
+      evicted = true;
+    }
+  }
+  void clear() {
+    buffer.clear();
+    seen.clear();
+    evicted = false;
+    maxEvicted = 0;
+  }
+
+  std::uint32_t capacity;
+  std::deque<std::uint64_t> buffer;
+  std::unordered_set<std::uint64_t> seen;
+  bool evicted = false;
+  std::uint64_t maxEvicted = 0;
+};
+
+/// The flat store against the model under random operations: every
+/// capacity from 1 to 9, ids drawn dense (1..24), sparse ((k + 1) << 32,
+/// the runtime's per-process id bases), and the extremes 0 and ~0 —
+/// every 64-bit value is a valid id off the wire. After every step the
+/// buffered ids, the eviction flag and the recovery horizon agree.
+TEST(MessageStore, FlatStoreMatchesDequeAndSetModel) {
+  Rng rng(2024);
+  const auto drawId = [&rng]() -> std::uint64_t {
+    switch (rng.below(8)) {
+      case 0:
+        return 0;
+      case 1:
+        return ~std::uint64_t{0};
+      case 2:
+      case 3:
+      case 4:
+        return (rng.below(24) + 1) << 32;
+      default:
+        return 1 + rng.below(24);
+    }
+  };
+  std::vector<std::uint64_t> got;
+  for (std::uint32_t capacity = 1; capacity <= 9; ++capacity) {
+    MessageStore store(capacity);
+    StoreModel model(capacity);
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.below(100);
+      if (op < 55) {
+        const std::uint64_t id = drawId();
+        store.remember(id);
+        model.remember(id);
+      } else if (op < 80) {
+        const std::uint64_t id = drawId();
+        ASSERT_EQ(store.hasSeen(id), model.seen.contains(id))
+            << "capacity " << capacity << " step " << step << " id " << id;
+      } else if (op < 88) {
+        const std::size_t limit = rng.below(capacity + 2);
+        store.digestInto(limit, got);
+        const std::size_t take = std::min(limit, model.buffer.size());
+        ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                               model.buffer.end() -
+                                   static_cast<std::ptrdiff_t>(take),
+                               model.buffer.end()));
+        ASSERT_EQ(got.size(), take);
+      } else if (op < 97) {
+        const std::size_t start = rng.below(capacity + 2);
+        const std::size_t limit = rng.below(capacity + 2);
+        const std::size_t took = store.windowInto(start, limit, got);
+        const std::size_t expect =
+            start >= model.buffer.size()
+                ? 0
+                : std::min(limit, model.buffer.size() - start);
+        ASSERT_EQ(took, expect);
+        ASSERT_EQ(got.size(), expect);
+        ASSERT_TRUE(std::equal(
+            got.begin(), got.end(),
+            model.buffer.begin() + static_cast<std::ptrdiff_t>(
+                                       std::min(start, model.buffer.size()))));
+      } else {
+        store.clear();
+        model.clear();
+      }
+      const auto held = store.buffered();
+      ASSERT_TRUE(std::equal(held.begin(), held.end(), model.buffer.begin(),
+                             model.buffer.end()))
+          << "capacity " << capacity << " step " << step;
+      ASSERT_EQ(store.size(), model.buffer.size());
+      ASSERT_EQ(store.hasEvicted(), model.evicted);
+      ASSERT_EQ(store.recoveryHorizon(), model.maxEvicted);
+      for (const std::uint64_t id : model.buffer) ASSERT_TRUE(store.hasSeen(id));
+    }
+  }
 }
 
 /// Minimal live wiring for the re-forwarding test below.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,155 @@ TEST(EventQueue, NullActionRejected) {
 TEST(EventQueue, NextDueTickRequiresPendingEvents) {
   EventQueue queue;
   EXPECT_THROW(queue.nextDueTick(), ContractViolation);
+}
+
+TEST(EventQueue, PriorityOutsideTheClassesRejected) {
+  EventQueue queue;
+  EXPECT_THROW(queue.schedule(1, EventQueue::kPriorityClasses, [] {}),
+               ContractViolation);
+  EXPECT_TRUE(queue.empty());
+  queue.schedule(1, EventQueue::kPriorityClasses - 1, [] {});
+  EXPECT_EQ(queue.size(), 1u);
+}
+
+/// The binary-heap queue the per-tick buckets replaced, kept as the
+/// reference: a std::priority_queue on the explicit (dueTick, priority,
+/// seq) key, popping the global minimum one event at a time.
+class ReferenceQueue {
+ public:
+  void schedule(std::uint64_t dueTick, std::uint8_t priority,
+                EventQueue::Action action) {
+    heap_.push({dueTick, priority, nextSeq_++, std::move(action)});
+  }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+  std::uint64_t now() const { return now_; }
+  std::uint64_t nextDueTick() const { return heap_.top().dueTick; }
+  void advanceTo(std::uint64_t tick) {
+    if (tick > now_) now_ = tick;
+    while (!heap_.empty() && heap_.top().dueTick <= tick) {
+      Event event = std::move(const_cast<Event&>(heap_.top()));
+      heap_.pop();
+      event.action();
+    }
+  }
+
+ private:
+  struct Event {
+    std::uint64_t dueTick;
+    std::uint8_t priority;
+    std::uint64_t seq;
+    EventQueue::Action action;
+  };
+  struct After {
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      if (a.dueTick != b.dueTick) return a.dueTick > b.dueTick;
+      if (a.priority != b.priority) return a.priority > b.priority;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Event, std::vector<Event>, After> heap_;
+  std::uint64_t now_ = 0;
+  std::uint64_t nextSeq_ = 0;
+};
+
+/// A queue under a scripted workload: every event logs its id when it
+/// runs and, by a hash of that id, schedules up to three re-entrant
+/// children — into its own class at its own tick, a lower class of its
+/// own tick, an earlier tick (possibly already passed), or a later one.
+template <typename Queue>
+struct Scripted {
+  explicit Scripted(std::uint64_t salt) : salt(salt) {}
+
+  void add(std::uint64_t dueTick, std::uint8_t priority, int depth) {
+    const std::uint64_t id = nextId++;
+    queue.schedule(dueTick, priority, [this, id, dueTick, priority, depth] {
+      run(id, dueTick, priority, depth);
+    });
+  }
+
+  void run(std::uint64_t id, std::uint64_t dueTick, std::uint8_t priority,
+           int depth) {
+    order.push_back(id);
+    if (depth >= 2) return;
+    const std::uint64_t plan = mix64(id ^ salt);
+    for (int k = 0; k < 3; ++k) {
+      const std::uint64_t arg = (plan >> (16 + 8 * k)) & 0xFF;
+      switch ((plan >> (4 * k)) & 7) {
+        case 0:  // same tick, same class: queues behind it
+          add(dueTick, priority, depth + 1);
+          break;
+        case 1:  // same tick, a lower class: runs next
+          if (priority > 0)
+            add(dueTick, static_cast<std::uint8_t>(arg % priority),
+                depth + 1);
+          break;
+        case 2:  // an earlier tick, maybe long passed
+          add(dueTick - std::min<std::uint64_t>(dueTick, 1 + arg % 4),
+              static_cast<std::uint8_t>(arg % 3), depth + 1);
+          break;
+        case 3:  // a later tick
+          add(dueTick + 1 + arg % 6, static_cast<std::uint8_t>(arg % 3),
+              depth + 1);
+          break;
+        default:  // no child
+          break;
+      }
+    }
+  }
+
+  std::uint64_t salt;
+  Queue queue;
+  std::vector<std::uint64_t> order;
+  std::uint64_t nextId = 0;
+};
+
+/// Per-tick buckets against the heap reference: random schedules (due
+/// ticks 0-60, already passed ones included, every class), re-entrant
+/// inserts of every kind, advanceTo in random strides (0 included).
+/// After every advance both queues have run the same events in the same
+/// order and agree on size(), nextDueTick() and now().
+TEST(EventQueue, BucketsMatchTheHeapReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Scripted<EventQueue> buckets(seed);
+    Scripted<ReferenceQueue> heap(seed);
+    Rng rng(seed);
+    const auto schedule = [&](std::uint64_t due, std::uint8_t priority) {
+      buckets.add(due, priority, 0);
+      heap.add(due, priority, 0);
+    };
+    for (int i = 0; i < 200; ++i)
+      schedule(rng.below(61), static_cast<std::uint8_t>(rng.below(3)));
+    for (int step = 0; step < 40; ++step) {
+      // A few fresh events between advances, due anywhere from a few
+      // ticks in the past to well past the schedule.
+      const std::uint64_t now = heap.queue.now();
+      for (std::uint64_t i = rng.below(4); i > 0; --i) {
+        const std::uint64_t due = now - std::min<std::uint64_t>(
+                                            now, rng.below(5)) +
+                                  rng.below(20);
+        schedule(due, static_cast<std::uint8_t>(rng.below(3)));
+      }
+      const std::uint64_t to = now + rng.below(6);
+      buckets.queue.advanceTo(to);
+      heap.queue.advanceTo(to);
+      ASSERT_EQ(buckets.order, heap.order) << "seed " << seed;
+      ASSERT_EQ(buckets.queue.size(), heap.queue.size());
+      ASSERT_EQ(buckets.queue.now(), heap.queue.now());
+      ASSERT_EQ(buckets.queue.empty(), heap.queue.empty());
+      if (!heap.queue.empty()) {
+        ASSERT_EQ(buckets.queue.nextDueTick(), heap.queue.nextDueTick());
+      }
+    }
+    while (!heap.queue.empty()) {
+      const std::uint64_t to = heap.queue.nextDueTick();
+      buckets.queue.advanceTo(to);
+      heap.queue.advanceTo(to);
+    }
+    EXPECT_TRUE(buckets.queue.empty());
+    EXPECT_EQ(buckets.order, heap.order) << "seed " << seed;
+    EXPECT_GT(heap.order.size(), 300u);  // the children did run
+  }
 }
 
 /// Replay determinism: a randomised schedule (random due ticks and

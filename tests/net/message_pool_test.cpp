@@ -9,6 +9,7 @@
 
 #include "analysis/scenario.hpp"
 #include "common/alloc_probe.hpp"
+#include "common/rng.hpp"
 #include "net/transport.hpp"
 
 namespace vs07::net {
@@ -90,7 +91,7 @@ TEST(MessagePool, BufferlessCheckInPreservesSlotCapacity) {
   data.kind = MessageKind::Data;
   data.dataId = 5;
   const auto slot2 = pool.checkIn(/*to=*/3, data);
-  EXPECT_EQ(slot2, slot);
+  EXPECT_NE(slot2, slot);  // the Data check-in does not take the warm slot
   EXPECT_EQ(pool.at(slot2).dataId, 5u);
   pool.release(slot2);
 
@@ -99,6 +100,70 @@ TEST(MessagePool, BufferlessCheckInPreservesSlotCapacity) {
   pool.checkIn(/*to=*/4, gossip2);
   EXPECT_GE(gossip2.entries.capacity(), 8u)
       << "slot capacity was destroyed by the bufferless check-in";
+}
+
+TEST(MessagePool, MixedShapeTrafficIsAllocationFreeOnceWarm) {
+  // A live cycle's in-flight mix through one pool: gossip exchanges and
+  // pull digests from reused scratch messages, and a burst of bufferless
+  // Data messages, each held for a delay and released out of order. Once
+  // every shape has reached its own in-flight peak, a scratch sender
+  // must always swap its warm buffer for a warm one — never for the
+  // empty buffer of a slot that last carried Data — so the mix allocates
+  // nothing.
+  constexpr std::size_t kData = 24;  // Data check-ins per tick
+  constexpr std::size_t kDelay = 6;  // ticks a message stays in flight
+  MessagePool pool;
+  Message gossip;
+  Message pull;
+  Rng rng(5);
+  // In flight, by due tick (ring of kDelay + 1), reserved up front so
+  // the harness itself never allocates.
+  std::vector<std::vector<MessagePool::Slot>> due(kDelay + 1);
+  for (auto& slots : due) slots.reserve(kData + 2);
+  std::vector<std::uint32_t> sends;  // this tick's senders, shuffled
+  sends.reserve(kData + 2);
+  const auto runTick = [&](std::uint64_t tick) {
+    auto& dueNow = due[tick % due.size()];
+    rng.shuffle(dueNow);
+    for (const auto slot : dueNow) pool.release(slot);
+    dueNow.clear();
+    sends.clear();
+    for (std::uint32_t i = 0; i < kData + 2; ++i) sends.push_back(i);
+    rng.shuffle(sends);
+    for (const std::uint32_t sender : sends) {
+      MessagePool::Slot slot;
+      std::uint64_t delay;
+      if (sender == kData) {
+        gossip.kind = MessageKind::CyclonRequest;
+        gossip.from = 1;
+        for (std::uint32_t e = 0; e < 8; ++e) gossip.entries.push_back({e});
+        slot = pool.checkIn(/*to=*/2, gossip);
+        delay = kDelay;
+      } else if (sender == kData + 1) {
+        pull.kind = MessageKind::PullRequest;
+        pull.from = 3;
+        for (std::uint64_t id = 0; id < 16; ++id) pull.ids.push_back(id);
+        slot = pool.checkIn(/*to=*/4, pull);
+        delay = kDelay;
+      } else {
+        Message data;  // transient, like LiveCast's forwards
+        data.dataId = tick;
+        slot = pool.checkIn(/*to=*/sender, data);
+        delay = 1 + sender % kDelay;  // every tick the same delay mix
+      }
+      due[(tick + delay) % due.size()].push_back(slot);
+    }
+  };
+  std::uint64_t tick = 0;
+  for (; tick < 3 * kDelay; ++tick) runTick(tick);  // warm-up
+  const std::size_t warmCapacity = pool.capacity();
+  const AllocScope allocs;
+  for (; tick < 3 * kDelay + 200; ++tick) runTick(tick);
+  EXPECT_EQ(allocs.allocations(), 0u)
+      << "a scratch sender drew a cold slot after warm-up";
+  EXPECT_EQ(pool.capacity(), warmCapacity);
+  EXPECT_GE(gossip.entries.capacity(), 8u);
+  EXPECT_GE(pull.ids.capacity(), 16u);
 }
 
 TEST(MessagePool, ReleaseOfUnusedSlotRejected) {

@@ -93,7 +93,7 @@ TEST(UdpTransport, DeliversGossipOverLoopback) {
   auto pair = makePair();
   SKIP_WITHOUT_SOCKETS(pair);
   auto& [a, b] = *pair;
-  a->peers.learn(1, b->addr());
+  a->peers.learn(1, b->addr(), AddressSource::kSelf);
 
   a->transport.send(1, dataMessage(0, 3));
   ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
@@ -112,7 +112,7 @@ TEST(UdpTransport, ReceiverLearnsSenderAddressFromFrame) {
   auto pair = makePair();
   SKIP_WITHOUT_SOCKETS(pair);
   auto& [a, b] = *pair;
-  a->peers.learn(1, b->addr());
+  a->peers.learn(1, b->addr(), AddressSource::kSelf);
   EXPECT_FALSE(b->peers.knows(0));
 
   a->transport.send(1, dataMessage(0, 1));
@@ -145,7 +145,8 @@ TEST(UdpTransport, HardSendErrorIsCountedNotSent) {
   auto pair = makePair();
   SKIP_WITHOUT_SOCKETS(pair);
   auto& [a, b] = *pair;
-  a->peers.learn(1, PeerAddress{0xFFFFFFFF, b->transport.listenPort()});
+  a->peers.learn(1, PeerAddress{0xFFFFFFFF, b->transport.listenPort()},
+                 AddressSource::kSelf);
 
   a->transport.send(1, dataMessage(0, 1));
   EXPECT_EQ(a->transport.droppedSendError(), 1u);
@@ -153,7 +154,7 @@ TEST(UdpTransport, HardSendErrorIsCountedNotSent) {
   EXPECT_EQ(a->transport.retryPool().inUse(), 0u);
 
   // The transport keeps working: re-learning a good address delivers.
-  a->peers.learn(1, b->addr());
+  a->peers.learn(1, b->addr(), AddressSource::kSelf);
   a->transport.send(1, dataMessage(0, 1));
   ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
   EXPECT_EQ(a->transport.datagramsSent(), 1u);
@@ -164,7 +165,7 @@ TEST(UdpTransport, OversizedFrameTakesTcpFallback) {
   auto pair = makePair();
   SKIP_WITHOUT_SOCKETS(pair);
   auto& [a, b] = *pair;
-  a->peers.learn(1, b->addr());
+  a->peers.learn(1, b->addr(), AddressSource::kSelf);
 
   // ~200 entries x 16 bytes each is well over the 1400-byte MTU.
   a->transport.send(1, dataMessage(0, 200));
@@ -180,7 +181,7 @@ TEST(UdpTransport, MalformedDatagramIsCountedNotFatal) {
   auto pair = makePair();
   SKIP_WITHOUT_SOCKETS(pair);
   auto& [a, b] = *pair;
-  a->peers.learn(1, b->addr());
+  a->peers.learn(1, b->addr(), AddressSource::kSelf);
 
   // A valid frame after garbage proves the transport keeps running.
   int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
@@ -197,6 +198,49 @@ TEST(UdpTransport, MalformedDatagramIsCountedNotFatal) {
   a->transport.send(1, dataMessage(0, 1));
   ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
   EXPECT_EQ(b->transport.droppedMalformed(), 1u);
+}
+
+TEST(UdpTransport, AnnexHintsCannotRedirectSelfTaughtPeers) {
+  // One forged annex entry must not re-point a peer (an eclipse): B's
+  // own frame pins B's address, an annex entry naming the receiver is
+  // dropped, and an annex hint only fills a gap.
+  std::unique_ptr<Endpoint> a;
+  std::unique_ptr<Endpoint> b;
+  try {
+    a = std::make_unique<Endpoint>(0, 4);
+    b = std::make_unique<Endpoint>(1, 4);
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "loopback sockets unavailable here";
+  }
+  b->peers.learn(0, a->addr(), AddressSource::kSelf);
+  b->transport.send(0, dataMessage(1, 1));
+  ASSERT_TRUE(pumpUntil(*a, *b, [&] { return a->sink.received.size() == 1; }));
+  ASSERT_EQ(a->peers.lookup(1), b->addr());
+
+  // Node 2 sends A a gossip frame whose annex claims B, A itself and
+  // node 3 all live at the forged address.
+  const PeerAddress forged{0x7F000001, 9};
+  const std::vector<AddressEntry> annex = {{1, forged}, {0, forged},
+                                           {3, forged}};
+  const net::Message payload = dataMessage(2, 1);
+  std::vector<std::uint8_t> frame;
+  encodeFrame({FrameKind::kGossip, 2, forged.port}, &payload, annex, frame);
+  int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_port = htons(a->transport.listenPort());
+  dst.sin_addr.s_addr = htonl(0x7F000001);
+  ASSERT_GT(::sendto(raw, frame.data(), frame.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&dst), sizeof(dst)),
+            0);
+  ::close(raw);
+  ASSERT_TRUE(pumpUntil(*a, *b, [&] { return a->sink.received.size() == 2; }));
+
+  EXPECT_EQ(a->peers.lookup(1), b->addr());  // self-taught address kept
+  EXPECT_FALSE(a->peers.knows(0));  // the entry naming A was dropped
+  EXPECT_EQ(a->peers.lookup(3), forged);  // a gap: the hint fills it
+  EXPECT_EQ(a->peers.lookup(2), forged);  // the sender speaks for itself
 }
 
 // The full ladder over real sockets: a seed and a joiner, each with its

@@ -204,20 +204,49 @@ TEST(Wire, PeerTableLearnsAndCounts) {
   PeerTable table(4);
   EXPECT_EQ(table.knownCount(), 0u);
   EXPECT_FALSE(table.knows(2));
-  table.learn(2, {0x7F000001, 7777});
+  table.learn(2, {0x7F000001, 7777}, AddressSource::kSelf);
   EXPECT_TRUE(table.knows(2));
   EXPECT_EQ(table.knownCount(), 1u);
-  table.learn(2, {0x7F000001, 8888});  // rebind: last writer wins
+  table.learn(2, {0x7F000001, 8888},
+              AddressSource::kSelf);  // rebind: last writer wins
   EXPECT_EQ(table.lookup(2).port, 8888);
   EXPECT_EQ(table.knownCount(), 1u);
-  table.learn(3, {0, 0});  // invalid: ignored
+  table.learn(3, {0, 0}, AddressSource::kSelf);  // invalid: ignored
   EXPECT_FALSE(table.knows(3));
 
   std::vector<AddressEntry> out;
-  table.learn(0, {0x7F000001, 1111});
+  table.learn(0, {0x7F000001, 1111}, AddressSource::kSelf);
   table.fillKnown(8, /*exclude=*/2, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].node, 0u);
+}
+
+TEST(Wire, PeerTableHintsNeverOverrideSelfTaughtAddresses) {
+  // An annex entry is a third party's claim: it may fill a gap or
+  // replace another hint, but one forged entry must not redirect a peer
+  // whose own frames taught its address (an eclipse).
+  PeerTable table(4);
+  const PeerAddress hint{0x0A000001, 5000};
+  const PeerAddress forged{0x0A0000FF, 6666};
+  const PeerAddress own{0x0A000002, 7000};
+
+  table.learn(1, hint, AddressSource::kHint);  // unknown: a hint fills it
+  EXPECT_EQ(table.lookup(1), hint);
+  table.learn(1, forged, AddressSource::kHint);  // hint over hint
+  EXPECT_EQ(table.lookup(1), forged);
+
+  table.learn(1, own, AddressSource::kSelf);  // the peer speaks: it wins
+  EXPECT_EQ(table.lookup(1), own);
+  table.learn(1, forged, AddressSource::kHint);  // ...and stays
+  EXPECT_EQ(table.lookup(1), own);
+
+  const PeerAddress rebound{0x0A000002, 7001};
+  table.learn(1, rebound, AddressSource::kSelf);  // a rebind still lands
+  EXPECT_EQ(table.lookup(1), rebound);
+  table.learn(1, {0, 0}, AddressSource::kSelf);  // invalid: ignored
+  EXPECT_EQ(table.lookup(1), rebound);
+  EXPECT_EQ(table.knownCount(), 1u);
+  EXPECT_FALSE(table.knows(2));
 }
 
 }  // namespace

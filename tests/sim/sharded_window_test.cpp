@@ -156,8 +156,9 @@ TEST(ShardedWindow, ImmediateDeliveryLandsOnTheSendTick) {
           d.dataId < 500'000'000ULL
               ? protocol.sendTickOf(d.from, d.dataId)
               : 0;  // replies checked via hop-0 pairing below
-      if (d.dataId < 500'000'000ULL)
+      if (d.dataId < 500'000'000ULL) {
         EXPECT_EQ(d.tick, sentAt) << "to=" << to << " from=" << d.from;
+      }
     }
 }
 
