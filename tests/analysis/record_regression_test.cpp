@@ -11,9 +11,6 @@
 //
 // Regenerating (only when a change is *supposed* to alter results):
 //   VS07_REGEN_GOLDEN=1 ./analysis_record_regression_test
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,43 +21,12 @@
 #include "analysis/scenario.hpp"
 #include "cast/strategy.hpp"
 #include "common/json.hpp"
+#include "harness/golden.hpp"
 
 namespace vs07::analysis {
 namespace {
 
 using cast::Strategy;
-
-std::string goldenPath(const std::string& name) {
-  return std::string(VS07_TEST_DATA_DIR) + "/" + name;
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path
-                         << " (regenerate with VS07_REGEN_GOLDEN=1)";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-bool regenRequested() {
-  const char* regen = std::getenv("VS07_REGEN_GOLDEN");
-  return regen != nullptr && regen[0] != '\0' && regen[0] != '0';
-}
-
-void checkAgainstGolden(const std::string& name, const std::string& bytes) {
-  const auto path = goldenPath(name);
-  if (regenRequested()) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << bytes;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  const std::string golden = readFile(path);
-  // Byte equality is the contract; EXPECT_EQ on the strings prints a
-  // usable diff when it breaks.
-  EXPECT_EQ(golden, bytes) << "series bytes diverged from " << path;
-}
 
 std::vector<std::uint32_t> fanoutAxis(std::uint32_t maxFanout) {
   std::vector<std::uint32_t> fanouts;
@@ -88,7 +54,7 @@ TEST(RecordRegression, StaticEffectivenessSeriesBitIdentical) {
   // Reduced-scale fig06: static warmed-up network, fanout sweep over
   // RANDCAST and RINGCAST.
   const auto scenario = Scenario::builder().nodes(1'200).seed(42).build();
-  checkAgainstGolden(
+  harness::checkAgainstGolden(
       "fig06_static_series.golden.json",
       effectivenessRecordBytes(scenario, /*maxFanout=*/12, /*runs=*/10,
                                /*seed=*/42));
@@ -102,7 +68,7 @@ TEST(RecordRegression, ChurnEffectivenessSeriesBitIdentical) {
       Scenario::paperChurn(/*rate=*/0.005, /*nodes=*/400, /*seed=*/42,
                            /*maxChurnCycles=*/20'000);
   EXPECT_EQ(scenario.network().initialSurvivors(), 0u);
-  checkAgainstGolden(
+  harness::checkAgainstGolden(
       "fig11_churn_series.golden.json",
       effectivenessRecordBytes(scenario, /*maxFanout=*/8, /*runs=*/10,
                                /*seed=*/42));

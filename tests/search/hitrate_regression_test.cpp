@@ -9,9 +9,6 @@
 //
 // Regenerating (only when a change is *supposed* to alter results):
 //   VS07_REGEN_GOLDEN=1 ./search_hitrate_regression_test
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,40 +17,11 @@
 #include "analysis/report_json.hpp"
 #include "analysis/scenario.hpp"
 #include "common/json.hpp"
+#include "harness/golden.hpp"
 #include "search/query.hpp"
 
 namespace vs07::search {
 namespace {
-
-std::string goldenPath(const std::string& name) {
-  return std::string(VS07_TEST_DATA_DIR) + "/" + name;
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << path
-                         << " (regenerate with VS07_REGEN_GOLDEN=1)";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-bool regenRequested() {
-  const char* regen = std::getenv("VS07_REGEN_GOLDEN");
-  return regen != nullptr && regen[0] != '\0' && regen[0] != '0';
-}
-
-void checkAgainstGolden(const std::string& name, const std::string& bytes) {
-  const auto path = goldenPath(name);
-  if (regenRequested()) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << bytes;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  const std::string golden = readFile(path);
-  EXPECT_EQ(golden, bytes) << "series bytes diverged from " << path;
-}
 
 TEST(SearchRegression, HitRateCurveBitIdentical) {
   // Reduced-scale mirror of bench/search_workload --quick: one warm
@@ -79,7 +47,7 @@ TEST(SearchRegression, HitRateCurveBitIdentical) {
     series.push(analysis::searchSweepSeries(searchStrategyName(strategy),
                                             sweep.front(), sweep));
   }
-  checkAgainstGolden("search_hitrate.golden.json", series.dump(2));
+  harness::checkAgainstGolden("search_hitrate.golden.json", series.dump(2));
 }
 
 }  // namespace
