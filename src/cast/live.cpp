@@ -30,29 +30,6 @@ void MessageStore::remember(std::uint64_t dataId) {
   fifo_.push_back(dataId);
 }
 
-std::vector<std::uint64_t> MessageStore::digest(std::size_t limit) const {
-  std::vector<std::uint64_t> out;
-  digestInto(limit, out);
-  return out;
-}
-
-void MessageStore::digestInto(std::size_t limit,
-                              std::vector<std::uint64_t>& out) const {
-  const auto held = buffered();
-  const std::size_t take = std::min(limit, held.size());
-  out.assign(held.end() - static_cast<std::ptrdiff_t>(take), held.end());
-}
-
-std::size_t MessageStore::windowInto(std::size_t start, std::size_t limit,
-                                     std::vector<std::uint64_t>& out) const {
-  out.clear();
-  const auto held = buffered();
-  if (start >= held.size()) return 0;
-  const auto window = held.subspan(start, std::min(limit, held.size() - start));
-  out.assign(window.begin(), window.end());
-  return window.size();
-}
-
 void MessageStore::clear() {
   std::vector<std::uint64_t>().swap(fifo_);
   head_ = 0;
@@ -114,58 +91,34 @@ void LiveCast::onSpawn(NodeId node) {
 
 void LiveCast::onKill(NodeId node) { stores_[node].clear(); }
 
+const LiveCast::TrackedMessage* LiveCast::find(std::uint64_t dataId) const {
+  const std::span<const TrackedMessage> tracked(tracked_.data(),
+                                                trackedCount_);
+  const auto it = std::ranges::lower_bound(
+      tracked, dataId, {},
+      [](const TrackedMessage& m) { return m.stats.dataId; });
+  return it != tracked.end() && it->stats.dataId == dataId ? &*it : nullptr;
+}
+
 std::uint64_t LiveCast::liveBitmapBytes() const {
   std::uint64_t bytes = 0;
-  for (const auto& [id, bitmap] : deliveredTo_) bytes += bitmap.size();
+  for (std::size_t i = 0; i < trackedCount_; ++i)
+    bytes += tracked_[i].deliveredTo.size();
   return bytes;
 }
 
-void LiveCast::retire(std::uint64_t dataId, bool completed) {
-  const auto statsIt = stats_.find(dataId);
-  VS07_EXPECT(statsIt != stats_.end());
-  LiveMessageStats& stats = statsIt->second;
-
-  if (completed) {
+void LiveCast::retire(std::size_t index) {
+  if (tracked_[index].stats.completed()) {
     ++steady_.retiredCompleted;
   } else {
     ++steady_.retiredAgedOut;
   }
-  const std::uint64_t spread = stats.spreadTicks();
-  steady_.spreadTicksTotalRetired += spread;
-  steady_.maxSpreadTicksRetired =
-      std::max(steady_.maxSpreadTicksRetired, spread);
-
-  if (params_.retainedSummaries > 0) {
-    CompletedSummary summary;
-    summary.dataId = stats.dataId;
-    summary.origin = stats.origin;
-    summary.delivered = stats.delivered();
-    summary.pushDelivered = stats.pushDelivered;
-    summary.pullDelivered = stats.pullDelivered;
-    summary.redundantDeliveries = stats.redundantDeliveries;
-    summary.messagesSent = stats.messagesSent;
-    summary.newlyNotifiedPerHop = std::move(stats.newlyNotifiedPerHop);
-    summary.lastHop = stats.lastHop;
-    summary.publishedAtTick = stats.publishedAtTick;
-    summary.spreadTicks = spread;
-    summary.completed = completed;
-    summaryById_[dataId] = std::move(summary);
-    summaryOrder_.push_back(dataId);
-    while (summaryOrder_.size() > params_.retainedSummaries) {
-      summaryById_.erase(summaryOrder_.front());
-      summaryOrder_.pop_front();
-    }
-  }
-
-  stats_.erase(statsIt);
-  if (const auto bmIt = deliveredTo_.find(dataId);
-      bmIt != deliveredTo_.end()) {
-    bitmapPool_.push_back(std::move(bmIt->second));
-    deliveredTo_.erase(bmIt);
-  }
-  const auto orderIt =
-      std::find(trackedOrder_.begin(), trackedOrder_.end(), dataId);
-  if (orderIt != trackedOrder_.end()) trackedOrder_.erase(orderIt);
+  // Move the record just past the tracked prefix; the others keep their
+  // publish order.
+  const auto record = tracked_.begin() + static_cast<std::ptrdiff_t>(index);
+  std::rotate(record, record + 1,
+              tracked_.begin() + static_cast<std::ptrdiff_t>(trackedCount_));
+  --trackedCount_;
 }
 
 void LiveCast::reclaimTracked() {
@@ -174,26 +127,26 @@ void LiveCast::reclaimTracked() {
   // FIFO in publish order, and the hard cap below bounds the rest.
   if (params_.completedLingerTicks > 0 && clock_ != nullptr) {
     const std::uint64_t now = clock_->nowTick();
-    while (!trackedOrder_.empty()) {
-      const LiveMessageStats& front = stats_.at(trackedOrder_.front());
+    while (trackedCount_ > 0) {
+      const LiveMessageStats& front = tracked_.front().stats;
       if (!front.completed() ||
           now - front.completedAtTick < params_.completedLingerTicks)
         break;
-      retire(front.dataId, /*completed=*/true);
+      retire(0);
     }
   }
   // Hard cap: make room for the next publish, preferring a victim whose
   // wave already finished; only when every tracked message is still
   // incomplete does the oldest age out with per-node state unresolved.
-  while (stats_.size() >= params_.maxTrackedMessages) {
-    std::uint64_t victim = trackedOrder_.front();
-    for (const std::uint64_t id : trackedOrder_) {
-      if (stats_.at(id).completed()) {
-        victim = id;
+  while (trackedCount_ >= params_.maxTrackedMessages) {
+    std::size_t victim = 0;
+    for (std::size_t i = 0; i < trackedCount_; ++i) {
+      if (tracked_[i].stats.completed()) {
+        victim = i;
         break;
       }
     }
-    retire(victim, stats_.at(victim).completed());
+    retire(victim);
   }
 }
 
@@ -201,23 +154,24 @@ std::uint64_t LiveCast::publish(NodeId origin) {
   VS07_EXPECT(network_.isAlive(origin));
   reclaimTracked();
   const std::uint64_t dataId = nextDataId_++;
-  trackedOrder_.push_back(dataId);
-  auto& stats = stats_[dataId];
-  stats.dataId = dataId;
-  stats.origin = origin;
+  if (trackedCount_ == tracked_.size()) tracked_.emplace_back();
+  TrackedMessage& message = tracked_[trackedCount_++];
+  // Reset a recycled record in place: its hop histogram and bitmap keep
+  // their capacity.
+  auto hops = std::move(message.stats.newlyNotifiedPerHop);
+  hops.clear();
+  message.stats = LiveMessageStats{};
+  message.stats.newlyNotifiedPerHop = std::move(hops);
+  message.stats.dataId = dataId;
+  message.stats.origin = origin;
   if (clock_ != nullptr) {
-    stats.publishedAtTick = clock_->nowTick();
-    stats.lastDeliveryTick = stats.publishedAtTick;
+    message.stats.publishedAtTick = clock_->nowTick();
+    message.stats.lastDeliveryTick = message.stats.publishedAtTick;
   }
-  auto& bitmap = deliveredTo_[dataId];
-  if (bitmap.empty() && !bitmapPool_.empty()) {
-    bitmap = std::move(bitmapPool_.back());
-    bitmapPool_.pop_back();
-  }
-  bitmap.assign(network_.totalCreated(), 0);
+  message.deliveredTo.assign(network_.totalCreated(), 0);
   ++steady_.published;
   steady_.peakTracked = std::max<std::uint64_t>(steady_.peakTracked,
-                                                stats_.size());
+                                                trackedCount_);
   steady_.peakTrackedBitmapBytes =
       std::max(steady_.peakTrackedBitmapBytes, liveBitmapBytes());
   stores_[origin].remember(dataId);
@@ -237,52 +191,47 @@ void LiveCast::step(NodeId self) {
   if (view.empty()) return;
   const NodeId target = view.at(rng_.below(view.size())).node;
 
+  // Rotating window: advertise a digestLength-wide slice of the buffer
+  // with explicit id bounds, advancing the slice every pull so successive
+  // requests sweep the whole buffer oldest-first, never wrapping. When
+  // the slice reaches the newest end, the upper bound opens to +inf so
+  // brand-new ids the peer holds are offered too; ids below the lower
+  // bound are outside the requester's recovery horizon (evicted or never
+  // wanted), which keeps steady-state pulls from resurrecting
+  // long-evicted messages. An empty buffer wants anything: [0, +inf).
+  const MessageStore& store = stores_[self];
+  const auto held = store.buffered();
+  std::size_t& pos = pullWindowPos_[self];
+  if (pos >= held.size()) pos = 0;
+  const auto window = held.subspan(
+      pos, std::min<std::size_t>(params_.digestLength, held.size() - pos));
+  std::uint64_t lo = 0;
+  std::uint64_t hi = ~std::uint64_t{0};
+  if (!window.empty()) {
+    const auto [minIt, maxIt] =
+        std::minmax_element(window.begin(), window.end());
+    // The slice minimum is a recovery horizon only once this buffer has
+    // actually evicted; before that, "not buffered" provably means
+    // "never received" (a joiner must be able to recover ids older than
+    // everything it holds), so the window opens to 0. After eviction the
+    // bound also clears the ids this buffer already dropped (eviction is
+    // FIFO by arrival, so under latency jumble an evicted id can exceed
+    // the slice minimum): peers must not waste answers on ids handleData
+    // would drop as zombies anyway.
+    if (store.hasEvicted())
+      lo = std::max(*minIt, store.recoveryHorizon() + 1);
+    pos += window.size();
+    if (pos < held.size()) hi = *maxIt;
+  }
+
   net::Message& request = pullScratch_;
   request.reset();
   request.kind = net::MessageKind::PullRequest;
+  request.flags = net::kFlagWindowedDigest;
   request.from = self;
-  if (params_.windowedPull) {
-    // Rotating window: advertise a digestLength-wide slice of the
-    // buffer with explicit id bounds, advancing the slice every pull so
-    // successive requests sweep the whole buffer. When the slice
-    // reaches the newest end, the upper bound opens to +inf so brand-new
-    // ids the peer holds are offered too; ids below the lower bound are
-    // outside the requester's recovery horizon (evicted or never
-    // wanted), which keeps steady-state pulls from resurrecting
-    // long-evicted messages.
-    request.flags |= net::kFlagWindowedDigest;
-    auto& store = stores_[self];
-    std::size_t& pos = pullWindowPos_[self];
-    if (pos >= store.size()) pos = 0;
-    const std::size_t took =
-        store.windowInto(pos, params_.digestLength, windowScratch_);
-    std::uint64_t lo = 0;
-    std::uint64_t hi = ~std::uint64_t{0};
-    if (took > 0) {
-      const auto [minIt, maxIt] =
-          std::minmax_element(windowScratch_.begin(), windowScratch_.end());
-      // The slice minimum is a recovery horizon only once this buffer
-      // has actually evicted; before that, "not buffered" provably
-      // means "never received" (a joiner must be able to recover ids
-      // older than everything it holds), so the window opens to 0.
-      // After eviction the bound also clears the ids this buffer already
-      // dropped (eviction is FIFO by arrival, so under latency jumble
-      // an evicted id can exceed the slice minimum): peers must not
-      // waste answers on ids handleData would drop as zombies anyway.
-      if (store.hasEvicted())
-        lo = std::max(*minIt, store.recoveryHorizon() + 1);
-      if (pos + took < store.size()) hi = *maxIt;
-      pos += took;
-    } else {
-      pos = 0;  // empty buffer: want anything — [0, +inf), no digest
-    }
-    request.ids.push_back(lo);
-    request.ids.push_back(hi);
-    request.ids.insert(request.ids.end(), windowScratch_.begin(),
-                       windowScratch_.end());
-  } else {
-    stores_[self].digestInto(params_.digestLength, request.ids);
-  }
+  request.ids.push_back(lo);
+  request.ids.push_back(hi);
+  request.ids.insert(request.ids.end(), window.begin(), window.end());
   ++pullsSent_;
   transport_.send(target, std::move(request));
   drainOutbox();  // pull answers may have queued forwards
@@ -297,8 +246,8 @@ void LiveCast::handleData(NodeId self, const net::Message& msg) {
   if (store.hasSeen(msg.dataId)) {
     ++redundant_;
     ++steady_.redundantDeliveries;
-    auto it = stats_.find(msg.dataId);
-    if (it != stats_.end()) ++it->second.redundantDeliveries;
+    if (TrackedMessage* message = find(msg.dataId))
+      ++message->stats.redundantDeliveries;
     return;
   }
   // Recovery horizon, receiver side. The requester's windowed digest
@@ -324,10 +273,10 @@ void LiveCast::deliverLocally(NodeId self, std::uint64_t dataId,
   // Before the stats lookup: in a multi-process run only the origin owns
   // stats for an id, but every process must see its own deliveries.
   if (deliveryHook_) deliveryHook_(self, dataId, hop, viaPull);
-  auto statsIt = stats_.find(dataId);
-  if (statsIt == stats_.end()) return;  // untracked id: no per-id account
-  auto& stats = statsIt->second;
-  auto& bitmap = deliveredTo_[dataId];
+  TrackedMessage* message = find(dataId);
+  if (message == nullptr) return;  // untracked id: no per-id account
+  LiveMessageStats& stats = message->stats;
+  std::vector<std::uint8_t>& bitmap = message->deliveredTo;
   if (bitmap.size() < network_.totalCreated())
     bitmap.resize(network_.totalCreated(), 0);
   if (bitmap[self]) {
@@ -416,9 +365,9 @@ void LiveCast::forward(NodeId self, NodeId receivedFrom,
 
 void LiveCast::enqueueData(NodeId to, NodeId from, std::uint64_t dataId,
                            std::uint32_t hop, bool viaPull, bool recovery) {
-  if (auto it = stats_.find(dataId); it != stats_.end()) {
-    ++it->second.messagesSent;
-    if (!network_.isAlive(to)) ++it->second.messagesToDead;
+  if (TrackedMessage* message = find(dataId)) {
+    ++message->stats.messagesSent;
+    if (!network_.isAlive(to)) ++message->stats.messagesToDead;
   }
   net::Message msg;
   msg.kind = net::MessageKind::Data;
@@ -467,87 +416,66 @@ void LiveCast::drainOutbox() {
 }
 
 void LiveCast::handlePullRequest(NodeId self, const net::Message& msg) {
-  const auto have = stores_[self].buffered();
-  const bool windowed = (msg.flags & net::kFlagWindowedDigest) != 0;
-  if (windowed && msg.ids.size() < 2) return;  // malformed
+  // Every PullRequest carries [lo, hi] bounds in ids[0..1] and the
+  // requester's window in ids[2..]; anything else goes unanswered.
+  if ((msg.flags & net::kFlagWindowedDigest) == 0 || msg.ids.size() < 2)
+    return;
+  const std::uint64_t lo = msg.ids[0];
+  const std::uint64_t hi = msg.ids[1];
   // The requester's held ids, sorted once so each buffered id costs a
-  // binary search: a digest may carry kMaxWireEntries ids off the wire,
+  // binary search: a window may carry kMaxWireEntries ids off the wire,
   // and a linear scan per buffered id would let one frame cost tens of
   // millions of comparisons. Candidates are still visited in buffer
   // order, so every draw below is unchanged.
   auto& digest = pullDigestScratch_;
-  digest.assign(msg.ids.begin() + (windowed ? 2 : 0), msg.ids.end());
+  digest.assign(msg.ids.begin() + 2, msg.ids.end());
   std::sort(digest.begin(), digest.end());
-  const auto inDigest = [&digest](std::uint64_t dataId) {
-    return std::binary_search(digest.begin(), digest.end(), dataId);
-  };
-  if (windowed) {
-    // Windowed digest: [lo, hi] bounds in ids[0..1], the requester's
-    // held ids in ids[2..]. Useful = buffered, inside the bounds, not in
-    // the digest. The budget is spent on a *uniform random* subset of
-    // the useful ids (random-useful selection, Sanghavi et al.): under
-    // many concurrent flows every gap gets equal repair pressure, where
-    // newest-first would starve old gaps behind a stream of fresh ids.
-    const std::uint64_t lo = msg.ids[0];
-    const std::uint64_t hi = msg.ids[1];
-    auto& candidates = pullCandidateScratch_;
-    candidates.clear();
-    for (const std::uint64_t dataId : have) {
-      if (dataId < lo || dataId > hi || inDigest(dataId)) continue;
-      candidates.push_back(dataId);
-    }
-    const std::size_t take =
-        std::min<std::size_t>(params_.pullBudget, candidates.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::size_t j =
-          i + rng_.below(candidates.size() - i);
-      std::swap(candidates[i], candidates[j]);
-      enqueueData(msg.from, self, candidates[i], /*hop=*/0, /*viaPull=*/true,
-                  /*recovery=*/false);
-    }
-    return;
+  // Useful = buffered, inside the bounds, not in the window. The budget
+  // is spent on a *uniform random* subset of the useful ids
+  // (random-useful selection, Sanghavi et al.): under many concurrent
+  // flows every gap gets equal repair pressure, where newest-first would
+  // starve old gaps behind a stream of fresh ids.
+  auto& candidates = pullCandidateScratch_;
+  candidates.clear();
+  for (const std::uint64_t dataId : stores_[self].buffered()) {
+    if (dataId < lo || dataId > hi ||
+        std::binary_search(digest.begin(), digest.end(), dataId))
+      continue;
+    candidates.push_back(dataId);
   }
-  std::uint32_t sent = 0;
-  // Legacy digest: newest first — fresh messages are the likeliest gaps
-  // worth filling when few ids are in flight.
-  for (auto it = have.rbegin();
-       it != have.rend() && sent < params_.pullBudget; ++it) {
-    const std::uint64_t dataId = *it;
-    if (inDigest(dataId)) continue;
-    enqueueData(msg.from, self, dataId, /*hop=*/0, /*viaPull=*/true,
+  const std::size_t take =
+      std::min<std::size_t>(params_.pullBudget, candidates.size());
+  for (std::size_t i = 0; i < take; ++i) {
+    const std::size_t j = i + rng_.below(candidates.size() - i);
+    std::swap(candidates[i], candidates[j]);
+    enqueueData(msg.from, self, candidates[i], /*hop=*/0, /*viaPull=*/true,
                 /*recovery=*/false);
-    ++sent;
   }
 }
 
 const LiveMessageStats& LiveCast::stats(std::uint64_t dataId) const {
-  const auto it = stats_.find(dataId);
-  VS07_EXPECT(it != stats_.end());
-  return it->second;
-}
-
-const CompletedSummary* LiveCast::summary(std::uint64_t dataId) const {
-  const auto it = summaryById_.find(dataId);
-  return it == summaryById_.end() ? nullptr : &it->second;
+  const TrackedMessage* message = find(dataId);
+  VS07_EXPECT(message != nullptr);
+  return message->stats;
 }
 
 SteadyStateStats LiveCast::steadyStats() const {
   SteadyStateStats out = steady_;
-  out.trackedNow = stats_.size();
+  out.trackedNow = trackedCount_;
   out.trackedBitmapBytes = liveBitmapBytes();
   return out;
 }
 
 bool LiveCast::hasDelivered(std::uint64_t dataId, NodeId node) const {
-  const auto it = deliveredTo_.find(dataId);
-  if (it == deliveredTo_.end()) return false;
-  return node < it->second.size() && it->second[node] != 0;
+  const TrackedMessage* message = find(dataId);
+  return message != nullptr && node < message->deliveredTo.size() &&
+         message->deliveredTo[node] != 0;
 }
 
 double LiveCast::missRatioPercentNow(std::uint64_t dataId) const {
-  const auto it = deliveredTo_.find(dataId);
-  VS07_EXPECT(it != deliveredTo_.end());
-  const auto& bitmap = it->second;
+  const TrackedMessage* message = find(dataId);
+  VS07_EXPECT(message != nullptr);
+  const auto& bitmap = message->deliveredTo;
   std::uint64_t deliveredAlive = 0;
   std::uint64_t alive = 0;
   for (const NodeId id : network_.aliveIds()) {

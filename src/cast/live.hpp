@@ -9,21 +9,26 @@
 // LiveCast runs dissemination through the transport against the *current*
 // protocol views (not a frozen snapshot): publish() pushes a message with
 // RINGCAST/RANDCAST forwarding, and each gossip cycle nodes optionally
-// send an anti-entropy PullRequest — a digest of recently seen message
-// ids — to a random peer, which pushes back whatever the requester is
-// missing. Pull converts push misses (dead forwarding paths, §7.2/§7.3)
-// into short delivery delays, bounded by the very §8 knobs this module
-// exposes: pull frequency, buffer capacity, and digest length.
+// send an anti-entropy PullRequest to a random peer, which pushes back
+// ids the requester is missing. Pull converts push misses (dead
+// forwarding paths, §7.2/§7.3) into short delivery delays, bounded by the
+// very §8 knobs this module exposes: pull frequency, buffer capacity, and
+// digest length.
+//
+// One pull protocol: a PullRequest advertises a rotating window of the
+// requester's buffer (explicit [lo, hi] id bounds plus the ids held
+// within), and the answer spends its budget on ids drawn uniformly at
+// random among the useful ones in the window — the random-useful policy
+// of Sanghavi et al., "Gossiping with Multiple Messages".
 //
 // Sustained traffic: bookkeeping is bounded in the number of messages
 // ever published. At most Params::maxTrackedMessages ids carry full
-// per-message state (stats + an O(N) delivery bitmap); beyond that the
-// oldest tracked message retires into a compact CompletedSummary, and
-// aggregate rates live in SteadyStateStats — so a publish *rate* holds a
-// memory frontier of O(cap * N) instead of O(messages * N). Pull digests
-// are windowed (a rotating slice of the buffer with explicit id bounds)
-// and answers pick random-useful ids within the window, the selection
-// policy of Sanghavi et al., "Gossiping with Multiple Messages".
+// per-message state (stats + an O(N) delivery bitmap) in one table kept
+// in publish order; beyond that publishing retires one (the first
+// completed, else the oldest), leaving only the SteadyStateStats
+// counters — so a publish *rate* holds a memory frontier of O(cap * N)
+// instead of O(messages * N), and a warm table recycles retired records
+// without allocating.
 //
 // Per message and node the cost is a small constant: each node's
 // MessageStore is a flat FIFO plus an open-addressing id set (no per-id
@@ -37,7 +42,7 @@
 #include <deque>
 #include <functional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -80,24 +85,8 @@ class MessageStore {
   /// Records a message; evicts the oldest beyond capacity. No-op if seen.
   void remember(std::uint64_t dataId);
 
-  /// The most recent ids, newest last, at most `limit`.
-  std::vector<std::uint64_t> digest(std::size_t limit) const;
-
-  /// Allocation-free variant: fills `out` (cleared first, capacity
-  /// reused) with the same ids.
-  void digestInto(std::size_t limit, std::vector<std::uint64_t>& out) const;
-
-  /// Windowed digest slice: fills `out` (cleared first) with at most
-  /// `limit` buffered ids starting at buffer position `start` (0 =
-  /// oldest), without wrapping. Returns the number of ids copied.
-  /// Successive calls with an advancing `start` rotate a fixed-size
-  /// window over the whole buffer — how a pull digest covers thousands
-  /// of in-flight ids a few at a time.
-  std::size_t windowInto(std::size_t start, std::size_t limit,
-                         std::vector<std::uint64_t>& out) const;
-
   /// Ids currently buffered (oldest first). Valid until the next
-  /// remember() or clear().
+  /// remember() or clear(). A pull window is a subspan of it.
   std::span<const std::uint64_t> buffered() const noexcept {
     return {fifo_.data() + head_, fifo_.size() - head_};
   }
@@ -188,26 +177,6 @@ struct LiveMessageStats {
   }
 };
 
-/// What remains of a tracked message once it retires: the per-node
-/// delivery bitmap is dropped (recycled), the counters and the hop
-/// histogram survive. Bounded ring of Params::retainedSummaries.
-struct CompletedSummary {
-  std::uint64_t dataId = 0;
-  NodeId origin = kNoNode;
-  std::uint64_t delivered = 0;
-  std::uint64_t pushDelivered = 0;
-  std::uint64_t pullDelivered = 0;
-  std::uint64_t redundantDeliveries = 0;
-  std::uint64_t messagesSent = 0;
-  std::vector<std::uint64_t> newlyNotifiedPerHop;
-  std::uint32_t lastHop = 0;
-  std::uint64_t publishedAtTick = 0;
-  std::uint64_t spreadTicks = 0;
-  /// True if the message covered the alive population before retiring;
-  /// false means it aged out of the tracking window still incomplete.
-  bool completed = false;
-};
-
 /// Aggregate accounting that stays O(1) in the number of messages ever
 /// published — the steady-state view of a sustained publish rate.
 struct SteadyStateStats {
@@ -221,9 +190,6 @@ struct SteadyStateStats {
   std::uint64_t pushDeliveries = 0;
   std::uint64_t pullDeliveries = 0;
   std::uint64_t redundantDeliveries = 0;
-  /// Spread-tick aggregate over retired messages (floor for averages).
-  std::uint64_t spreadTicksTotalRetired = 0;
-  std::uint64_t maxSpreadTicksRetired = 0;
   /// The live memory frontier: tracked ids now / at peak, and the bytes
   /// their delivery bitmaps hold. Bounded by maxTrackedMessages * N.
   std::uint64_t trackedNow = 0;
@@ -258,9 +224,6 @@ struct SteadyStateStats {
     pushDeliveries += other.pushDeliveries;
     pullDeliveries += other.pullDeliveries;
     redundantDeliveries += other.redundantDeliveries;
-    spreadTicksTotalRetired += other.spreadTicksTotalRetired;
-    maxSpreadTicksRetired =
-        std::max(maxSpreadTicksRetired, other.maxSpreadTicksRetired);
     trackedNow += other.trackedNow;
     peakTracked = std::max(peakTracked, other.peakTracked);
     trackedBitmapBytes += other.trackedBitmapBytes;
@@ -284,7 +247,7 @@ class LiveCast final : public sim::CycleProtocol,
     /// A node issues one PullRequest every `pullInterval` of its own
     /// steps; 0 disables pulling (pure push, the paper's main setting).
     std::uint32_t pullInterval = 1;
-    /// Ids per pull digest.
+    /// Ids per pull window (the buffer slice a PullRequest advertises).
     std::uint32_t digestLength = 16;
     /// Per-node message buffer capacity.
     std::uint32_t bufferCapacity = 64;
@@ -293,8 +256,8 @@ class LiveCast final : public sim::CycleProtocol,
     std::uint32_t pullBudget = 8;
     /// Hard cap on concurrently tracked messages (full LiveMessageStats
     /// + O(N) delivery bitmap). At the cap, publishing retires the
-    /// oldest tracked id — preferring one that already completed — into
-    /// a CompletedSummary. This is the sustained-traffic memory bound.
+    /// first tracked id that already completed, else the oldest. This is
+    /// the sustained-traffic memory bound.
     std::uint32_t maxTrackedMessages = 1024;
     /// When > 0 (and a clock is attached), a completed message is
     /// retired eagerly once it has lingered this many ticks past
@@ -303,15 +266,6 @@ class LiveCast final : public sim::CycleProtocol,
     /// tracked until cap pressure — the single-wave experiments rely on
     /// querying stats() after the wave is done.
     std::uint64_t completedLingerTicks = 0;
-    /// Retired CompletedSummary records kept for inspection (FIFO).
-    std::uint32_t retainedSummaries = 1024;
-    /// Windowed pull digests: each PullRequest advertises a rotating
-    /// window of the requester's buffer (explicit [lo, hi] id bounds +
-    /// the ids held within), and the answerer picks uniformly at random
-    /// among useful ids in the window (Sanghavi et al.). false = legacy
-    /// newest-`digestLength` digest answered newest-first, which starves
-    /// old gaps once in-flight ids exceed the digest length.
-    bool windowedPull = true;
   };
 
   /// `vicinity` may be null: then forwarding is pure RANDCAST; otherwise
@@ -339,18 +293,14 @@ class LiveCast final : public sim::CycleProtocol,
   void onSpawn(NodeId node) override;
   void onKill(NodeId node) override;
 
-  /// Stats of a *tracked* published message; retired ids reject (their
-  /// remains live in summary(), if retained).
+  /// Stats of a *tracked* published message; retired ids reject. The
+  /// reference is valid until the next publish().
   const LiveMessageStats& stats(std::uint64_t dataId) const;
 
   /// Is full per-message state still held for this id?
   bool isTracked(std::uint64_t dataId) const {
-    return stats_.contains(dataId);
+    return find(dataId) != nullptr;
   }
-
-  /// The retired remains of a message, or nullptr if never published,
-  /// still tracked, or already evicted from the summary ring.
-  const CompletedSummary* summary(std::uint64_t dataId) const;
 
   /// Aggregate rates + the live memory frontier. O(tracked) per call.
   SteadyStateStats steadyStats() const;
@@ -383,8 +333,13 @@ class LiveCast final : public sim::CycleProtocol,
 
   /// Overrides the next published dataId. Multi-process runs give each
   /// process a disjoint base (e.g. (selfId+1) << 32) so concurrently
-  /// published messages can never collide on id.
-  void setNextDataId(std::uint64_t next) { nextDataId_ = next; }
+  /// published messages can never collide on id. Ids only grow — the
+  /// tracked table is searched by id in publish order — so `next` must
+  /// not be below the next id.
+  void setNextDataId(std::uint64_t next) {
+    VS07_EXPECT(next >= nextDataId_);
+    nextDataId_ = next;
+  }
 
   /// Has `node` received message `dataId`? Tracked ids answer from the
   /// delivery bitmap; retired ids answer false (per-node knowledge is
@@ -444,10 +399,22 @@ class LiveCast final : public sim::CycleProtocol,
   /// Trampoline: drains queued sends iteratively so that long forwarding
   /// chains (e.g. ring-only propagation) cannot overflow the call stack.
   void drainOutbox();
+
+  /// One tracked message: its stats and the bitmap of nodes it reached.
+  struct TrackedMessage {
+    LiveMessageStats stats;
+    std::vector<std::uint8_t> deliveredTo;
+  };
+  /// The tracked record of `dataId`, or nullptr once retired (or never
+  /// published here): a binary search over the tracked prefix.
+  const TrackedMessage* find(std::uint64_t dataId) const;
+  TrackedMessage* find(std::uint64_t dataId) {
+    return const_cast<TrackedMessage*>(std::as_const(*this).find(dataId));
+  }
   /// Linger sweep + cap enforcement; runs before each publish.
   void reclaimTracked();
-  /// Moves one tracked id into the summary ring, recycling its bitmap.
-  void retire(std::uint64_t dataId, bool completed);
+  /// Retires tracked_[index] into the steady-state counters.
+  void retire(std::size_t index);
   /// Bytes currently held by tracked delivery bitmaps.
   std::uint64_t liveBitmapBytes() const;
 
@@ -463,21 +430,17 @@ class LiveCast final : public sim::CycleProtocol,
 
   std::vector<MessageStore> stores_;
   std::vector<std::uint64_t> stepCount_;
-  /// Per-node rotating window position for windowed pull digests.
+  /// Per-node buffer position where the next pull window starts.
   std::vector<std::size_t> pullWindowPos_;
   std::vector<std::uint32_t> forwardsPerNode_;
   std::vector<std::uint32_t> receivedPerNode_;
-  /// Per *tracked* message: bitmap of nodes that have it. Bounded by
-  /// maxTrackedMessages entries; retired bitmaps recycle via
-  /// bitmapPool_, so steady-state publishing allocates nothing here.
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> deliveredTo_;
-  std::unordered_map<std::uint64_t, LiveMessageStats> stats_;
-  /// Tracked ids oldest-first (retirement order).
-  std::deque<std::uint64_t> trackedOrder_;
-  std::vector<std::vector<std::uint8_t>> bitmapPool_;
-  /// Retired remains, FIFO-bounded by Params::retainedSummaries.
-  std::unordered_map<std::uint64_t, CompletedSummary> summaryById_;
-  std::deque<std::uint64_t> summaryOrder_;
+  /// Tracked messages are tracked_[0, trackedCount_), in publish order —
+  /// ascending id, since ids only grow. Retiring one rotates it just past
+  /// that prefix, where it keeps its bitmap and hop-histogram capacity
+  /// for the next publish: at most maxTrackedMessages records ever
+  /// exist, and a warm table publishes without allocating.
+  std::vector<TrackedMessage> tracked_;
+  std::size_t trackedCount_ = 0;
   SteadyStateStats steady_;
   std::uint64_t nextDataId_ = 1;
   /// One queued send; whether it answers a pull travels in the message
@@ -501,12 +464,11 @@ class LiveCast final : public sim::CycleProtocol,
   std::vector<NodeId> dlinkScratch_;
   std::deque<std::vector<NodeId>> targetScratch_;
   std::size_t forwardDepth_ = 0;
-  /// Pull-request scratch message (digest ids buffer recycled per pull).
+  /// Pull-request scratch message (window ids buffer recycled per pull).
   net::Message pullScratch_;
-  /// Windowed-digest scratch (requester side / answerer candidates).
-  std::vector<std::uint64_t> windowScratch_;
+  /// Answerer side: useful candidates, and the requester's window
+  /// sorted for binary search.
   std::vector<std::uint64_t> pullCandidateScratch_;
-  /// Answerer side: the requester's digest, sorted for binary search.
   std::vector<std::uint64_t> pullDigestScratch_;
   std::uint64_t pullsSent_ = 0;
   std::uint64_t pullAnswers_ = 0;

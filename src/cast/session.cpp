@@ -27,8 +27,6 @@ LiveCast::Params liveParams(const CastOptions& options) {
   params.pullBudget = options.pullBudget;
   params.maxTrackedMessages = options.maxTrackedMessages;
   params.completedLingerTicks = options.completedLingerTicks;
-  params.retainedSummaries = options.retainedSummaries;
-  params.windowedPull = options.windowedPull;
   return params;
 }
 

@@ -5,8 +5,9 @@
 //     overlay is captured once, and every publish() is a deterministic
 //     hop-synchronous dissemination driven by cast::disseminate.
 //   * LiveSession runs through the transport against the *current*
-//     protocol views, with optional anti-entropy pull recovery (§8) —
-//     LiveCast under the hood.
+//     protocol views, with optional anti-entropy pull recovery (§8:
+//     windowed digests, random-useful answers) — LiveCast under the
+//     hood.
 //
 // Both speak the same cast::Strategy plug-point and return the same
 // DeliveryReport, so an experiment switches between the probabilistic,
@@ -47,23 +48,20 @@ struct CastOptions {
   /// A node issues one PullRequest every `pullInterval` of its own steps;
   /// only used by Strategy::kPushPull (push-only strategies never pull).
   std::uint32_t pullInterval = 1;
-  /// Ids per pull digest (§8 knob).
+  /// Ids per pull window: the slice of its buffer a PullRequest
+  /// advertises (§8 knob).
   std::uint32_t digestLength = 16;
   /// Per-node message buffer capacity (§8 knob).
   std::uint32_t bufferCapacity = 64;
   /// Max messages pushed back per pull answer (§8 knob).
   std::uint32_t pullBudget = 8;
   /// Hard cap on concurrently tracked message ids (full stats + O(N)
-  /// delivery bitmap); older ids retire to CompletedSummary records.
+  /// delivery bitmap); beyond it ids retire into the steady-state
+  /// counters and can no longer be report()ed.
   std::uint32_t maxTrackedMessages = 1024;
   /// Eagerly retire completed messages this many ticks after they cover
   /// the population (0 = only retire under cap pressure).
   std::uint64_t completedLingerTicks = 0;
-  /// Retired CompletedSummary records kept for inspection.
-  std::uint32_t retainedSummaries = 1024;
-  /// Windowed pull digests with random-useful answers (sustained-traffic
-  /// reconciliation); false = legacy newest-`digestLength` digests.
-  bool windowedPull = true;
 };
 
 /// Uniform interface over the snapshot and live dissemination paths.

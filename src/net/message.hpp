@@ -103,11 +103,12 @@ inline constexpr std::uint8_t kFlagPullAnswer = 0x01;
 /// so receivers keep it out of origin-wave hop accounting.
 inline constexpr std::uint8_t kFlagRecoveryWave = 0x02;
 
-/// Message::flags bit: this PullRequest carries a *windowed* digest:
-/// ids[0]/ids[1] are the inclusive [lo, hi] dataId bounds of the
-/// advertised buffer window and ids[2..] the ids held within it. The
-/// answerer offers random useful ids inside the bounds (ids outside are
-/// beyond the requester's current recovery horizon).
+/// Message::flags bit: this PullRequest carries a windowed digest, as
+/// every PullRequest does: ids[0]/ids[1] are the inclusive [lo, hi]
+/// dataId bounds of the advertised buffer window and ids[2..] the ids
+/// held within it. The answerer offers random useful ids inside the
+/// bounds (ids outside are beyond the requester's current recovery
+/// horizon) and leaves a request without this bit unanswered.
 inline constexpr std::uint8_t kFlagWindowedDigest = 0x04;
 
 }  // namespace vs07::net

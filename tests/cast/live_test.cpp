@@ -72,13 +72,6 @@ TEST(MessageStore, RememberIsIdempotent) {
   EXPECT_TRUE(store.hasSeen(7));
 }
 
-TEST(MessageStore, DigestNewestLast) {
-  MessageStore store(10);
-  for (std::uint64_t id = 1; id <= 5; ++id) store.remember(id);
-  EXPECT_EQ(store.digest(3), (std::vector<std::uint64_t>{3, 4, 5}));
-  EXPECT_EQ(store.digest(99).size(), 5u);
-}
-
 TEST(MessageStore, ClearForgetsEverything) {
   MessageStore store(4);
   store.remember(1);
@@ -346,13 +339,14 @@ struct PullProbe {
   }
 
   /// Node 0's answer to a pull from node 1 carrying `ids`.
-  std::vector<std::uint64_t> answer(std::vector<std::uint64_t> ids,
-                                    bool windowed) {
+  std::vector<std::uint64_t> answer(
+      std::vector<std::uint64_t> ids,
+      std::uint8_t flags = net::kFlagWindowedDigest) {
     capture.sent.clear();
     net::Message request;
     request.kind = net::MessageKind::PullRequest;
     request.from = 1;
-    if (windowed) request.flags = net::kFlagWindowedDigest;
+    request.flags = flags;
     request.ids = std::move(ids);
     router.deliver(0, std::move(request));
     std::vector<std::uint64_t> answered;
@@ -364,6 +358,20 @@ struct PullProbe {
     return answered;
   }
 
+  /// Runs one pull step of node 0 and returns the ids of the
+  /// PullRequest it sent (node 0 needs a CYCLON view to pull from).
+  std::vector<std::uint64_t> pull() {
+    capture.sent.clear();
+    live.step(0);
+    EXPECT_EQ(capture.sent.size(), 1u);
+    if (capture.sent.empty()) return {};
+    const net::Message& request = capture.sent.front().second;
+    EXPECT_EQ(request.kind, net::MessageKind::PullRequest);
+    EXPECT_EQ(request.from, 0u);
+    EXPECT_EQ(request.flags, net::kFlagWindowedDigest);
+    return request.ids;
+  }
+
   sim::Network network;
   sim::MessageRouter router;
   Capture capture;
@@ -372,26 +380,24 @@ struct PullProbe {
   LiveCast live;
 };
 
-/// The useful ids of a pull by the plain reference: a linear scan of the
-/// digest per buffered id.
+/// The useful ids of a pull by the plain reference: the [lo, hi] bounds
+/// in ids[0..1], then a linear scan of the window per buffered id.
 std::vector<std::uint64_t> linearUseful(std::span<const std::uint64_t> have,
-                                        const std::vector<std::uint64_t>& ids,
-                                        bool windowed) {
-  const auto digestBegin = ids.begin() + (windowed ? 2 : 0);
+                                        const std::vector<std::uint64_t>& ids) {
   std::vector<std::uint64_t> useful;
   for (const std::uint64_t id : have) {
-    if (windowed && (id < ids[0] || id > ids[1])) continue;
-    if (std::find(digestBegin, ids.end(), id) != ids.end()) continue;
+    if (id < ids[0] || id > ids[1]) continue;
+    if (std::find(ids.begin() + 2, ids.end(), id) != ids.end()) continue;
     useful.push_back(id);
   }
   return useful;
 }
 
 TEST(LiveCast, PullAnswersMatchTheLinearScanReference) {
-  // Random buffers and digests (bounds anywhere, digests mixing held and
-  // foreign ids, duplicates, 0 and ~0): a windowed answer serves exactly
-  // the useful ids when the budget covers them and a budget-sized subset
-  // otherwise; a legacy answer serves the newest useful ids in order.
+  // Random buffers and windows (bounds anywhere, windows mixing held and
+  // foreign ids, duplicates, 0 and ~0): an answer serves exactly the
+  // useful ids when the budget covers them and a budget-sized subset of
+  // them otherwise, never one id twice.
   Rng rng(77);
   for (int round = 0; round < 200; ++round) {
     LiveCast::Params params;
@@ -405,34 +411,25 @@ TEST(LiveCast, PullAnswersMatchTheLinearScanReference) {
     probe.fill(ids);
     const auto have = probe.live.store(0).buffered();
 
-    const bool windowed = rng.below(2) == 0;
-    std::vector<std::uint64_t> request;
-    if (windowed) {
-      const std::uint64_t lo = rng.below(3) == 0 ? 0 : rng.below(60);
-      const std::uint64_t hi =
-          rng.below(3) == 0 ? ~std::uint64_t{0} : lo + rng.below(60);
-      request = {lo, hi};
-    }
+    const std::uint64_t lo = rng.below(3) == 0 ? 0 : rng.below(60);
+    const std::uint64_t hi =
+        rng.below(3) == 0 ? ~std::uint64_t{0} : lo + rng.below(60);
+    std::vector<std::uint64_t> request = {lo, hi};
     for (std::uint64_t i = rng.below(40); i > 0; --i)
       request.push_back(rng.below(2) == 0 && !have.empty()
                             ? have[rng.below(have.size())]
                             : rng.below(120));
-    const auto useful = linearUseful(have, request, windowed);
-    const auto answered = probe.answer(request, windowed);
+    const auto useful = linearUseful(have, request);
+    const auto answered = probe.answer(request);
     const std::size_t budget = params.pullBudget;
     ASSERT_EQ(answered.size(), std::min(budget, useful.size()))
         << "round " << round;
-    if (windowed) {
-      for (const std::uint64_t id : answered)
-        ASSERT_NE(std::find(useful.begin(), useful.end(), id), useful.end());
-      auto sorted = answered;
-      std::sort(sorted.begin(), sorted.end());
-      ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
-                sorted.end());  // no id served twice
-    } else {
-      ASSERT_TRUE(std::equal(answered.begin(), answered.end(),
-                             useful.rbegin()));
-    }
+    for (const std::uint64_t id : answered)
+      ASSERT_NE(std::find(useful.begin(), useful.end(), id), useful.end());
+    auto sorted = answered;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+              sorted.end());  // no id served twice
   }
 }
 
@@ -453,12 +450,81 @@ TEST(LiveCast, MaximalPullDigestIsAnswered) {
   for (std::uint64_t i = 0; request.size() < net::kMaxWireEntries; ++i)
     request.push_back(i % 2 == 0 ? 7 + 1000 * i : 1000 * (i % 64 + 1));
   ASSERT_EQ(request.size(), 65'536u);
-  const auto useful =
-      linearUseful(probe.live.store(0).buffered(), request, true);
+  const auto useful = linearUseful(probe.live.store(0).buffered(), request);
   ASSERT_FALSE(useful.empty());
-  auto answered = probe.answer(request, true);
+  auto answered = probe.answer(request);
   std::sort(answered.begin(), answered.end());
   EXPECT_EQ(answered, useful);
+}
+
+
+TEST(LiveCast, PullRequestsWithoutWindowBoundsAreNotAnswered) {
+  // Every PullRequest carries kFlagWindowedDigest and [lo, hi] bounds
+  // ahead of its window; anything else is malformed and gets no answer.
+  LiveCast::Params params;
+  params.pullBudget = 8;
+  PullProbe probe(params);
+  probe.fill({1, 2, 3, 4});
+  constexpr std::uint64_t kOpen = ~std::uint64_t{0};
+  EXPECT_TRUE(probe.answer({}, /*flags=*/0).empty());
+  EXPECT_TRUE(probe.answer({2}, /*flags=*/0).empty());
+  EXPECT_TRUE(probe.answer({0, kOpen}, /*flags=*/0).empty());
+  EXPECT_TRUE(probe.answer({}).empty());
+  EXPECT_TRUE(probe.answer({0}).empty());
+  EXPECT_EQ(probe.live.pullAnswersSent(), 0u);
+  // The same buffer answers a well-formed request.
+  EXPECT_EQ(probe.answer({0, kOpen}).size(), 4u);
+}
+
+TEST(LiveCast, PullWindowsWalkTheBufferOldestFirst) {
+  // One node's successive PullRequests: [lo, hi] bounds, then a
+  // digestLength-wide slice of its buffer. The slices walk the buffer
+  // oldest first and never wrap, so the last one is short; at the newest
+  // end hi opens to +inf, and the next request starts over at the oldest
+  // id. hi is the slice maximum, not its last element (arrival order is
+  // not id order).
+  LiveCast::Params params;
+  params.bufferCapacity = 8;
+  params.digestLength = 4;
+  PullProbe probe(params);
+  probe.cyclon.onJoin(0, 1);  // node 0 pulls from node 1
+  using Ids = std::vector<std::uint64_t>;
+  constexpr std::uint64_t kOpen = ~std::uint64_t{0};
+
+  // An empty buffer wants anything: [0, +inf), no ids.
+  EXPECT_EQ(probe.pull(), (Ids{0, kOpen}));
+
+  // Nothing evicted yet: "not buffered" means "never received", so lo
+  // stays 0 and a joiner can recover ids older than all it holds.
+  probe.fill({10, 11, 14, 12, 13, 15});
+  EXPECT_EQ(probe.pull(), (Ids{0, 14, 10, 11, 14, 12}));
+  EXPECT_EQ(probe.pull(), (Ids{0, kOpen, 13, 15}));
+  EXPECT_EQ(probe.pull(), (Ids{0, 14, 10, 11, 14, 12}));
+
+  // Five more ids evict 10, 11 and 14, in arrival order: the buffer is
+  // 12 13 15 16 17 18 19 20 and the recovery horizon 14. From now on lo
+  // is at least recoveryHorizon() + 1, above slice minima it exceeds.
+  probe.fill({16, 17, 18, 19, 20});
+  ASSERT_EQ(probe.live.store(0).recoveryHorizon(), 14u);
+  EXPECT_EQ(probe.pull(), (Ids{17, kOpen, 17, 18, 19, 20}));
+  EXPECT_EQ(probe.pull(), (Ids{15, 16, 12, 13, 15, 16}));
+  EXPECT_EQ(probe.pull(), (Ids{17, kOpen, 17, 18, 19, 20}));
+}
+
+TEST(LiveCast, NextDataIdOnlyMovesForward) {
+  // Tracked messages are looked up by binary search over publish order,
+  // which is id order only while ids grow: a process may jump to its
+  // own id base, never back below the next id.
+  LiveHarness h(20, {}, /*seed=*/9);
+  const std::uint64_t base = std::uint64_t{3} << 32;
+  h.live.setNextDataId(base);
+  EXPECT_EQ(h.live.publish(0), base);
+  EXPECT_THROW(h.live.setNextDataId(base), ContractViolation);
+  EXPECT_THROW(h.live.setNextDataId(1), ContractViolation);
+  h.live.setNextDataId(base + 1);  // the next id itself is accepted
+  EXPECT_EQ(h.live.publish(0), base + 1);
+  EXPECT_TRUE(h.live.isTracked(base));
+  EXPECT_TRUE(h.live.isTracked(base + 1));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 //   VS07_REGEN_GOLDEN=1 ./cast_live_traffic_golden_test
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 

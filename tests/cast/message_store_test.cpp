@@ -1,5 +1,5 @@
-// Dedicated MessageStore coverage: FIFO eviction at capacity, digest
-// ordering, and the §8 forgetting semantics — "the duration for which
+// Dedicated MessageStore coverage: FIFO eviction at capacity, arrival
+// order, and the §8 forgetting semantics — "the duration for which
 // nodes maintain old messages" is the buffer capacity, and once an id is
 // evicted the node treats a re-reception as brand new: it delivers,
 // re-buffers, and re-forwards it (src/cast/live.cpp, handleData).
@@ -52,17 +52,6 @@ TEST(MessageStore, ReRememberingDoesNotRefreshFifoPosition) {
   EXPECT_TRUE(store.hasSeen(3));
 }
 
-TEST(MessageStore, DigestNewestLastAndBounded) {
-  MessageStore store(8);
-  for (std::uint64_t id = 10; id <= 15; ++id) store.remember(id);
-  // Full digest preserves arrival order, newest last.
-  EXPECT_EQ(store.digest(16),
-            (std::vector<std::uint64_t>{10, 11, 12, 13, 14, 15}));
-  // A bounded digest keeps the *newest* ids, still newest last.
-  EXPECT_EQ(store.digest(3), (std::vector<std::uint64_t>{13, 14, 15}));
-  EXPECT_EQ(store.digest(0), std::vector<std::uint64_t>{});
-}
-
 TEST(MessageStore, ZeroCapacityRejected) {
   EXPECT_THROW(MessageStore(0), ContractViolation);
 }
@@ -73,7 +62,6 @@ TEST(MessageStore, ClearForgetsEverything) {
   store.clear();
   EXPECT_FALSE(store.hasSeen(1));
   EXPECT_TRUE(store.buffered().empty());
-  EXPECT_TRUE(store.digest(4).empty());
 }
 
 TEST(MessageStore, EvictionIsSticky) {
@@ -115,24 +103,6 @@ TEST(MessageStore, EvictedIdIsSeenAsNewAgain) {
   store.remember(1);  // accepted like a brand-new id
   EXPECT_TRUE(store.hasSeen(1));
   EXPECT_FALSE(store.hasSeen(2));
-}
-
-TEST(MessageStore, WindowedSliceRotatesWithoutWrapping) {
-  MessageStore store(8);
-  for (std::uint64_t id = 10; id <= 15; ++id) store.remember(id);
-
-  std::vector<std::uint64_t> out;
-  // Successive windows walk the buffer oldest-first and never wrap: the
-  // final slice is short, and positions past the end return empty (the
-  // caller restarts at 0), so one slice never spans old and new ids.
-  EXPECT_EQ(store.windowInto(0, 4, out), 4u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{10, 11, 12, 13}));
-  EXPECT_EQ(store.windowInto(4, 4, out), 2u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{14, 15}));
-  EXPECT_EQ(store.windowInto(6, 4, out), 0u);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(store.windowInto(99, 4, out), 0u);
-  EXPECT_EQ(store.size(), 6u);
 }
 
 /// The store's contract as a plain model: a std::deque FIFO and a
@@ -186,7 +156,6 @@ TEST(MessageStore, FlatStoreMatchesDequeAndSetModel) {
         return 1 + rng.below(24);
     }
   };
-  std::vector<std::uint64_t> got;
   for (std::uint32_t capacity = 1; capacity <= 9; ++capacity) {
     MessageStore store(capacity);
     StoreModel model(capacity);
@@ -196,33 +165,10 @@ TEST(MessageStore, FlatStoreMatchesDequeAndSetModel) {
         const std::uint64_t id = drawId();
         store.remember(id);
         model.remember(id);
-      } else if (op < 80) {
+      } else if (op < 97) {
         const std::uint64_t id = drawId();
         ASSERT_EQ(store.hasSeen(id), model.seen.contains(id))
             << "capacity " << capacity << " step " << step << " id " << id;
-      } else if (op < 88) {
-        const std::size_t limit = rng.below(capacity + 2);
-        store.digestInto(limit, got);
-        const std::size_t take = std::min(limit, model.buffer.size());
-        ASSERT_TRUE(std::equal(got.begin(), got.end(),
-                               model.buffer.end() -
-                                   static_cast<std::ptrdiff_t>(take),
-                               model.buffer.end()));
-        ASSERT_EQ(got.size(), take);
-      } else if (op < 97) {
-        const std::size_t start = rng.below(capacity + 2);
-        const std::size_t limit = rng.below(capacity + 2);
-        const std::size_t took = store.windowInto(start, limit, got);
-        const std::size_t expect =
-            start >= model.buffer.size()
-                ? 0
-                : std::min(limit, model.buffer.size() - start);
-        ASSERT_EQ(took, expect);
-        ASSERT_EQ(got.size(), expect);
-        ASSERT_TRUE(std::equal(
-            got.begin(), got.end(),
-            model.buffer.begin() + static_cast<std::ptrdiff_t>(
-                                       std::min(start, model.buffer.size()))));
       } else {
         store.clear();
         model.clear();

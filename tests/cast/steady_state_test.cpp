@@ -1,15 +1,15 @@
-// Sustained-traffic bookkeeping: the tracked-message cap, retirement to
-// CompletedSummary, the SteadyStateStats aggregates, and the
-// TrafficSource publish schedule. Together these pin the memory frontier
+// Sustained-traffic bookkeeping: the tracked-message cap, retirement into
+// the SteadyStateStats aggregates, allocation-free warm publishing, and
+// the TrafficSource publish schedule. Together these pin the memory frontier
 // LiveCast holds under a publish *rate*: O(maxTrackedMessages * N), not
 // O(messages * N).
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "cast/live.hpp"
 #include "cast/traffic.hpp"
+#include "common/alloc_probe.hpp"
 #include "common/expect.hpp"
+#include "common/rng.hpp"
 #include "gossip/cyclon.hpp"
 #include "gossip/vicinity.hpp"
 #include "net/transport.hpp"
@@ -51,7 +51,7 @@ struct SteadyHarness {
   sim::Engine engine;
 };
 
-TEST(SteadyState, TrackedCapRetiresOldestIntoSummaries) {
+TEST(SteadyState, TrackedCapRetiresTheOldest) {
   LiveCast::Params params;
   params.fanout = 3;
   params.maxTrackedMessages = 4;
@@ -84,53 +84,6 @@ TEST(SteadyState, TrackedCapRetiresOldestIntoSummaries) {
   EXPECT_EQ(steady.pullDeliveries, 0u);
 }
 
-TEST(SteadyState, SummariesPreserveTheRetiredCounters) {
-  LiveCast::Params params;
-  params.fanout = 3;
-  params.maxTrackedMessages = 2;
-  SteadyHarness h(40, params);
-
-  const auto first = h.live.publish(0);
-  const auto tracked = h.live.stats(first);  // copy before retirement
-  h.live.publish(0);
-  h.live.publish(0);  // pushes `first` out of the tracked set
-
-  const CompletedSummary* summary = h.live.summary(first);
-  ASSERT_NE(summary, nullptr);
-  EXPECT_EQ(summary->dataId, first);
-  EXPECT_EQ(summary->origin, 0u);
-  EXPECT_TRUE(summary->completed);
-  EXPECT_EQ(summary->delivered, 40u);
-  EXPECT_EQ(summary->pushDelivered, tracked.pushDelivered);
-  EXPECT_EQ(summary->messagesSent, tracked.messagesSent);
-  EXPECT_EQ(summary->lastHop, tracked.lastHop);
-  EXPECT_EQ(summary->newlyNotifiedPerHop, tracked.newlyNotifiedPerHop);
-  EXPECT_EQ(std::accumulate(summary->newlyNotifiedPerHop.begin(),
-                            summary->newlyNotifiedPerHop.end(),
-                            std::uint64_t{0}),
-            40u);
-  // Unknown and still-tracked ids have no summary.
-  EXPECT_EQ(h.live.summary(first + 99), nullptr);
-  EXPECT_EQ(h.live.summary(h.live.publish(0)), nullptr);
-}
-
-TEST(SteadyState, SummaryRingIsBounded) {
-  LiveCast::Params params;
-  params.fanout = 3;
-  params.maxTrackedMessages = 1;
-  params.retainedSummaries = 2;
-  SteadyHarness h(30, params);
-
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 5; ++i) ids.push_back(h.live.publish(0));
-  // ids[0..3] retired; the ring keeps only the newest two of them.
-  EXPECT_EQ(h.live.summary(ids[0]), nullptr);
-  EXPECT_EQ(h.live.summary(ids[1]), nullptr);
-  EXPECT_NE(h.live.summary(ids[2]), nullptr);
-  EXPECT_NE(h.live.summary(ids[3]), nullptr);
-  EXPECT_EQ(h.live.steadyStats().retired(), 4u);
-}
-
 TEST(SteadyState, CompletedLingerRetiresWithoutCapPressure) {
   LiveCast::Params params;
   params.fanout = 3;
@@ -144,10 +97,26 @@ TEST(SteadyState, CompletedLingerRetiresWithoutCapPressure) {
   // The sweep runs on the next publish, far below the cap.
   h.live.publish(0);
   EXPECT_FALSE(h.live.isTracked(id));
-  const CompletedSummary* summary = h.live.summary(id);
-  ASSERT_NE(summary, nullptr);
-  EXPECT_TRUE(summary->completed);
   EXPECT_EQ(h.live.steadyStats().retiredCompleted, 1u);
+}
+
+TEST(SteadyState, WarmPublishingAllocatesNothing) {
+  // Once the tracked cap and the node buffers are warm, a publish reuses
+  // a retired record's delivery bitmap and hop histogram, and every
+  // buffer recycles its slots: a sustained rate allocates nothing.
+  LiveCast::Params params;
+  params.fanout = 3;
+  params.pullInterval = 0;
+  params.bufferCapacity = 4;
+  params.maxTrackedMessages = 4;
+  SteadyHarness h(200, params);
+  Rng origins(31);
+  for (int i = 0; i < 40; ++i) h.live.publish(h.network.randomAlive(origins));
+
+  const AllocScope allocs;
+  for (int i = 0; i < 100; ++i) h.live.publish(h.network.randomAlive(origins));
+  EXPECT_EQ(allocs.allocations(), 0u);
+  EXPECT_EQ(h.live.steadyStats().published, 140u);
 }
 
 TEST(SteadyState, RedundancyRatioCountsDuplicates) {
@@ -174,8 +143,6 @@ TEST(SteadyState, MergeFoldsCountersPeaksAndFrontiers) {
   a.pushDeliveries = 550;
   a.pullDeliveries = 50;
   a.redundantDeliveries = 120;
-  a.spreadTicksTotalRetired = 70;
-  a.maxSpreadTicksRetired = 12;
   a.trackedNow = 3;
   a.peakTracked = 4;
   a.trackedBitmapBytes = 180;
@@ -188,8 +155,6 @@ TEST(SteadyState, MergeFoldsCountersPeaksAndFrontiers) {
   b.firstDeliveries = 200;
   b.pushDeliveries = 200;
   b.redundantDeliveries = 40;
-  b.spreadTicksTotalRetired = 30;
-  b.maxSpreadTicksRetired = 20;
   b.trackedNow = 1;
   b.peakTracked = 2;
   b.trackedBitmapBytes = 60;
@@ -204,9 +169,7 @@ TEST(SteadyState, MergeFoldsCountersPeaksAndFrontiers) {
   EXPECT_EQ(m.pushDeliveries, 750u);
   EXPECT_EQ(m.pullDeliveries, 50u);
   EXPECT_EQ(m.redundantDeliveries, 160u);
-  EXPECT_EQ(m.spreadTicksTotalRetired, 100u);
   // ...peaks take the max...
-  EXPECT_EQ(m.maxSpreadTicksRetired, 20u);
   EXPECT_EQ(m.peakTracked, 4u);
   EXPECT_EQ(m.peakTrackedBitmapBytes, 240u);
   // ...and concurrent live frontiers add (the memory is held at once).
