@@ -14,9 +14,9 @@ std::uint32_t checkedThreads(std::uint32_t threads) {
   return threads;
 }
 
-/// Validates the timing configuration up front: the lockstep CycleSync
-/// schedule has no tick axis to delay messages along, so a latency model
-/// requires jittered timing (where the windowed schedule handles it).
+/// Validates the timing configuration up front: CycleSync ticks are step
+/// batches, not time, so there is nothing to delay messages along — a
+/// latency model requires jittered timing.
 TimingConfig checkedTiming(TimingConfig timing) {
   VS07_EXPECT(timing.ticksPerCycle >= 1);
   VS07_EXPECT((timing.mode == TimingMode::kJitteredPeriodic ||
@@ -45,27 +45,23 @@ ShardedEngine::ShardedEngine(Network& network, std::uint64_t seed,
       shardCount_(checkedThreads(threads)),
       streamSeed_(seed),
       timing_(checkedTiming(timing)),
+      slotCount_(timing_.mode == TimingMode::kCycleSync
+                     ? kStepBatches
+                     : timing_.ticksPerCycle),
       pool_(shardCount_) {
   // senders_ must never reallocate: each worker's ShardContext keeps a
   // Transport* into it.
   senders_.resize(shardCount_);
-  // Lockstep cycles bucket the worklist by step batch; the windowed
-  // schedule buckets by timer phase offset (one bucket per tick of the
-  // cycle span — the per-tick population N*threads/span is what bounds
-  // in-flight traffic there, no sub-batching needed).
-  const std::size_t worklistBuckets =
-      timing_.mode == TimingMode::kCycleSync ? kStepBatches
-                                             : timing_.ticksPerCycle;
   workers_.reserve(shardCount_);
   for (std::uint32_t s = 0; s < shardCount_; ++s) {
     senders_[s].engine = this;
     senders_[s].shard = s;
     workers_.emplace_back(s, senders_[s]);
-    workers_[s].worklist.resize(worklistBuckets);
+    workers_[s].worklist.resize(slotCount_);
     senders_[s].ctx = &workers_[s].ctx;
   }
   outboxes_.resize(static_cast<std::size_t>(shardCount_) * 2 * shardCount_);
-  offsetOccupied_.resize(timing_.ticksPerCycle, 0);
+  offsetOccupied_.resize(slotCount_, 0);
   phaseFn_ = [this](std::size_t shard) { runPhase(shard); };
   // Replays existing nodes via onSpawn, sizing the per-node counters.
   network_.addObserver(growth_);
@@ -122,9 +118,9 @@ void ShardedEngine::BarrierSender::send(NodeId to, net::Message&& msg) {
   Pending& slot = bucket.slots[bucket.count++];
   // Arrival tick: latency drawn from the acting node's event stream, in
   // send order, interleaved with the protocol's own draws — part of the
-  // per-node stream, so independent of thread count. Under CycleSync
-  // latency is kNone (ctor contract) and draw() consumes no randomness,
-  // keeping the lockstep schedule's draws bit-identical.
+  // per-node stream, so independent of thread count. Without a latency
+  // model (always so under CycleSync, by the ctor contract) draw()
+  // consumes no randomness and the message is due at once.
   slot.dueTick = e.currentTick_ + e.timing_.latency.draw(ctx->rng());
   // Swap the payload into the recycled slot; the caller's message walks
   // away holding the slot's previous (reset) buffers.
@@ -156,98 +152,50 @@ std::uint64_t ShardedEngine::pendingAt(std::uint32_t parity) const {
 }
 
 void ShardedEngine::runOneCycle() {
-  if (timing_.mode == TimingMode::kCycleSync) {
-    runLockstepCycle();
-  } else {
-    runJitteredCycle();
-  }
-}
-
-void ShardedEngine::runLockstepCycle() {
-  phase_ = Phase::kWorklist;
-  pool_.parallelFor(shardCount_, phaseFn_);
-  for (std::uint32_t b = 0; b < kStepBatches; ++b) {
-    currentBatch_ = b;
-    phase_ = Phase::kStep;
-    pool_.parallelFor(shardCount_, phaseFn_);
-    // Deliver rounds until the batch quiesces (CYCLON/VICINITY: request
-    // round, then reply round, then silence).
-    while (pendingAt(parity_) > 0) {
-      parity_ ^= 1u;  // fresh sends go to the other side
-      phase_ = Phase::kDeliver;
-      pool_.parallelFor(shardCount_, phaseFn_);
-      // The side just consumed is clear for reuse (slots stay allocated).
-      const std::uint32_t consumed = parity_ ^ 1u;
-      for (std::uint32_t w = 0; w < shardCount_; ++w)
-        for (std::uint32_t d = 0; d < shardCount_; ++d) {
-          Bucket& bucket = outbox(w, consumed, d);
-          bucket.cyclePeak = std::max(bucket.cyclePeak, bucket.count);
-          bucket.count = 0;
-        }
-    }
-  }
-  // Cycle boundary: sequential, like Engine::finishCycle. Membership
-  // mutation (churn) is legal only here.
-  ++cycle_;
-  maintainBuffers();
-  for (auto* control : controls_) control->execute(cycle_);
-}
-
-void ShardedEngine::runJitteredCycle() {
   const std::uint64_t start = cycleStartTick_;
-  const std::uint32_t span = timing_.ticksPerCycle;
-  const std::uint64_t end = start + span;
-  const std::uint32_t lookahead = timing_.latency.minLatencyTicks();
+  const std::uint64_t end = start + slotCount_;
+  // Windows are at least one tick: lookahead 0 (no latency floor) runs
+  // each tick's same-tick request/reply cascade as deliver rounds.
+  const std::uint32_t window =
+      std::max<std::uint32_t>(timing_.latency.minLatencyTicks(), 1);
 
   phase_ = Phase::kWorklist;
   pool_.parallelFor(shardCount_, phaseFn_);
-  // Coordinator aggregate: which phase offsets have timers anywhere.
+  // Coordinator aggregate: which slot offsets have nodes anywhere.
   // (assign() reuses the vector's capacity — no steady-state allocation.)
-  offsetOccupied_.assign(span, 0);
+  offsetOccupied_.assign(slotCount_, 0);
   for (const auto& w : workers_)
-    for (std::uint32_t o = 0; o < span; ++o)
+    for (std::uint32_t o = 0; o < slotCount_; ++o)
       if (!w.worklist[o].empty()) offsetOccupied_[o] = 1;
 
-  std::uint32_t nextOffset = 0;  // earliest timer offset not yet executed
+  std::uint32_t nextOffset = 0;  // earliest slot offset not yet executed
   while (true) {
-    while (nextOffset < span && !offsetOccupied_[nextOffset]) ++nextOffset;
+    while (nextOffset < slotCount_ && !offsetOccupied_[nextOffset])
+      ++nextOffset;
     // Next event time across all shards: the earlier of the next
-    // occupied timer tick and the earliest stored delivery. Stored
-    // entries due past the cycle end stay parked — they carry over to a
-    // later cycle's windows (in-flight traffic crosses cycle
-    // boundaries; the killed-destination check at delivery handles
-    // churn in between).
-    std::uint64_t nextTime = nextOffset < span ? start + nextOffset : end;
+    // occupied slot and the earliest stored delivery. Stored entries due
+    // past the cycle end stay parked — they carry over to a later
+    // cycle's windows (in-flight traffic crosses cycle boundaries; the
+    // killed-destination check at delivery handles churn in between).
+    std::uint64_t nextTime = nextOffset < slotCount_ ? start + nextOffset : end;
     for (const auto& w : workers_)
       nextTime = std::min(nextTime, w.dueQueue.nextDueTickOr(end));
     if (nextTime >= end) break;
     // Safe horizon: everything below min(next event) + lookahead can run
     // without coordination — any send inside the window arrives at
-    // dueTick >= sendTick + lookahead >= horizon. Lookahead 0 (no
-    // latency model: sends are immediate) degrades to a 1-tick window
-    // whose same-tick request/reply cascade runs as sub-rounds below.
-    const std::uint64_t horizon =
-        lookahead == 0 ? nextTime + 1
-                       : std::min<std::uint64_t>(nextTime + lookahead, end);
+    // dueTick >= sendTick + lookahead >= horizon.
+    const std::uint64_t horizon = std::min<std::uint64_t>(nextTime + window, end);
     for (std::uint64_t t = nextTime; t < horizon; ++t) {
       currentTick_ = t;
-      phase_ = Phase::kWindowTick;
+      phase_ = Phase::kTick;
       pool_.parallelFor(shardCount_, phaseFn_);
-      if (lookahead == 0) {
-        // Sub-rounds until the tick quiesces: immediate replies land at
-        // the same tick, anything a latency draw pushed later was parked
-        // in the stores by deliverNowPhase.
-        while (pendingAt(parity_) > 0) {
-          parity_ ^= 1u;
-          phase_ = Phase::kDeliverNow;
-          pool_.parallelFor(shardCount_, phaseFn_);
-        }
-      } else {
-        // Everything sent this tick is due at or past the horizon: park
-        // it in the destination shards' stores before the next tick's
-        // horizon query looks at the due queues.
-        parity_ ^= 1u;
-        phase_ = Phase::kIngest;
+      // Deliver rounds until the tick is quiet: same-tick messages are
+      // handled (their replies feed the next round), later-due ones are
+      // parked in the destination shards' stores before the next
+      // horizon query looks at the due queues.
+      while (pendingAt(parity_) > 0) {
+        parity_ ^= 1u;  // fresh sends go to the other side
+        phase_ = Phase::kDeliver;
         pool_.parallelFor(shardCount_, phaseFn_);
       }
       nextOffset =
@@ -256,7 +204,8 @@ void ShardedEngine::runJitteredCycle() {
   }
   currentTick_ = end;
   cycleStartTick_ = end;
-  // Cycle boundary: sequential, exactly like the lockstep schedule.
+  // Cycle boundary: sequential, like Engine::finishCycle. Membership
+  // mutation (churn) is legal only here.
   ++cycle_;
   maintainBuffers();
   for (auto* control : controls_) control->execute(cycle_);
@@ -355,20 +304,11 @@ void ShardedEngine::runPhase(std::size_t shard) {
     case Phase::kWorklist:
       buildWorklist(s);
       break;
-    case Phase::kStep:
-      stepPhase(s);
+    case Phase::kTick:
+      tickPhase(s);
       break;
     case Phase::kDeliver:
       deliverPhase(s);
-      break;
-    case Phase::kWindowTick:
-      windowTickPhase(s);
-      break;
-    case Phase::kDeliverNow:
-      deliverNowPhase(s);
-      break;
-    case Phase::kIngest:
-      ingestPhase(s);
       break;
   }
 }
@@ -379,97 +319,24 @@ void ShardedEngine::buildWorklist(std::uint32_t shard) {
   // aliveIds() order is a pure function of the spawn/kill history (see
   // Network), so every shard's worklist — and with it the node-local
   // execution order — is identical across runs and thread counts.
-  if (timing_.mode == TimingMode::kCycleSync) {
-    for (const NodeId node : network_.aliveIds())
-      if (node % shardCount_ == shard)
-        w.worklist[batchOf(node)].push_back(node);
-  } else {
-    for (const NodeId node : network_.aliveIds())
-      if (node % shardCount_ == shard)
-        w.worklist[timerPhaseOf(node)].push_back(node);
-  }
+  for (const NodeId node : network_.aliveIds())
+    if (node % shardCount_ == shard) w.worklist[slotOf(node)].push_back(node);
 }
 
-void ShardedEngine::stepPhase(std::uint32_t shard) {
+void ShardedEngine::tickPhase(std::uint32_t shard) {
   Worker& w = workers_[shard];
-  for (const NodeId node : w.worklist[currentBatch_]) {
-    for (auto* protocol : protocols_) {
-      seedEventRng(w.ctx, node);
-      protocol->shardStep(node, w.ctx);
-    }
-  }
-}
-
-void ShardedEngine::deliverPhase(std::uint32_t shard) {
-  Worker& w = workers_[shard];
-  const std::uint32_t readParity = parity_ ^ 1u;
-  // Gather the index of everything addressed to this shard. Reading other
-  // workers' read-side buckets is safe: they were last written before the
-  // barrier that started this phase, and this phase only writes the
-  // opposite parity.
-  w.inbox.clear();
-  for (std::uint32_t src = 0; src < shardCount_; ++src) {
-    const Bucket& bucket = outbox(src, readParity, shard);
-    for (std::size_t i = 0; i < bucket.count; ++i) {
-      const Pending& p = bucket.slots[i];
-      w.inbox.push_back({p.to, p.msg.from, p.seq, src,
-                         static_cast<std::uint32_t>(i)});
-    }
-  }
-  // Canonical order: by destination, then sender, then the sender's send
-  // sequence — independent of which shard buffered what.
-  std::sort(w.inbox.begin(), w.inbox.end(), CanonicalOrder{});
-  for (const InRef& ref : w.inbox) {
-    const Pending& p = outbox(ref.srcShard, readParity, shard).slots[ref.slot];
-    if (!network_.isAlive(p.to)) {
-      // Stale view entry pointed at a dead node — the message vanishes,
-      // which is exactly CYCLON's implicit failure detection.
-      ++w.droppedDead;
-      continue;
-    }
-    seedEventRng(w.ctx, p.to);
-    bool handled = false;
-    for (auto* protocol : protocols_) {
-      if (protocol->shardDeliver(p.to, p.msg, w.ctx)) {
-        handled = true;
-        break;
-      }
-    }
-    if (!handled) ++w.droppedUnroutable;
-  }
-}
-
-void ShardedEngine::windowTickPhase(std::uint32_t shard) {
-  Worker& w = workers_[shard];
-  // Deliveries before timers within a tick — the same intra-tick
-  // priority order as the sequential engine's event queue.
+  // Deliveries before steps within a tick — the same intra-tick priority
+  // order as the sequential engine's event queue.
   w.dueScratch.clear();
   w.dueQueue.popDueInto(currentTick_, w.dueScratch);
   std::sort(w.dueScratch.begin(), w.dueScratch.end(), CanonicalOrder{});
   for (const StoreRef& ref : w.dueScratch) {
-    if (!network_.isAlive(ref.to)) {
-      // The destination died (churn at a cycle boundary) while the
-      // message was in flight — implicit failure detection, as in the
-      // lockstep deliver phase.
-      ++w.droppedDead;
-      w.store.release(ref.slot);
-      continue;
-    }
-    net::Message& msg = w.store.at(ref.slot);
-    seedEventRng(w.ctx, ref.to);
-    bool handled = false;
-    for (auto* protocol : protocols_) {
-      if (protocol->shardDeliver(ref.to, msg, w.ctx)) {
-        handled = true;
-        break;
-      }
-    }
-    if (!handled) ++w.droppedUnroutable;
+    dispatch(w, ref.to, w.store.at(ref.slot));
     w.store.release(ref.slot);
   }
-  // This tick's node timers. Worklists are rebuilt from aliveIds() each
-  // cycle and membership mutates only at cycle boundaries, so every
-  // listed node is alive.
+  // This tick's steps. Worklists are rebuilt from aliveIds() each cycle
+  // and membership mutates only at cycle boundaries, so every listed
+  // node is alive.
   const auto offset = static_cast<std::uint32_t>(currentTick_ -
                                                  cycleStartTick_);
   for (const NodeId node : w.worklist[offset]) {
@@ -480,9 +347,13 @@ void ShardedEngine::windowTickPhase(std::uint32_t shard) {
   }
 }
 
-void ShardedEngine::deliverNowPhase(std::uint32_t shard) {
+void ShardedEngine::deliverPhase(std::uint32_t shard) {
   Worker& w = workers_[shard];
   const std::uint32_t readParity = parity_ ^ 1u;
+  // Gather everything addressed to this shard. Reading other workers'
+  // read-side buckets is safe: they were last written before the barrier
+  // that started this phase, and this phase only writes the opposite
+  // parity.
   w.inbox.clear();
   for (std::uint32_t src = 0; src < shardCount_; ++src) {
     Bucket& bucket = outbox(src, readParity, shard);
@@ -490,8 +361,8 @@ void ShardedEngine::deliverNowPhase(std::uint32_t shard) {
       Pending& p = bucket.slots[i];
       if (p.dueTick > currentTick_) {
         // A latency draw pushed this arrival past the current tick: park
-        // it in the store; a later window's tick delivers it. (checkIn
-        // swaps buffers, leaving the outbox slot warm for reuse.)
+        // it in the store; a later tick delivers it. (checkIn swaps
+        // buffers, leaving the outbox slot warm for reuse.)
         const NodeId from = p.msg.from;
         const net::MessagePool::Slot slot = w.store.checkIn(p.to, p.msg);
         w.dueQueue.push(p.dueTick, StoreRef{p.to, from, p.seq, slot});
@@ -504,19 +375,7 @@ void ShardedEngine::deliverNowPhase(std::uint32_t shard) {
   std::sort(w.inbox.begin(), w.inbox.end(), CanonicalOrder{});
   for (const InRef& ref : w.inbox) {
     const Pending& p = outbox(ref.srcShard, readParity, shard).slots[ref.slot];
-    if (!network_.isAlive(p.to)) {
-      ++w.droppedDead;
-      continue;
-    }
-    seedEventRng(w.ctx, p.to);
-    bool handled = false;
-    for (auto* protocol : protocols_) {
-      if (protocol->shardDeliver(p.to, p.msg, w.ctx)) {
-        handled = true;
-        break;
-      }
-    }
-    if (!handled) ++w.droppedUnroutable;
+    dispatch(w, p.to, p.msg);
   }
   // Reset the consumed read-side buckets (dst-owned here: each bucket is
   // read by exactly one destination shard, and the coordinator's
@@ -528,20 +387,18 @@ void ShardedEngine::deliverNowPhase(std::uint32_t shard) {
   }
 }
 
-void ShardedEngine::ingestPhase(std::uint32_t shard) {
-  Worker& w = workers_[shard];
-  const std::uint32_t readParity = parity_ ^ 1u;
-  for (std::uint32_t src = 0; src < shardCount_; ++src) {
-    Bucket& bucket = outbox(src, readParity, shard);
-    for (std::size_t i = 0; i < bucket.count; ++i) {
-      Pending& p = bucket.slots[i];
-      const NodeId from = p.msg.from;
-      const net::MessagePool::Slot slot = w.store.checkIn(p.to, p.msg);
-      w.dueQueue.push(p.dueTick, StoreRef{p.to, from, p.seq, slot});
-    }
-    bucket.cyclePeak = std::max(bucket.cyclePeak, bucket.count);
-    bucket.count = 0;
+void ShardedEngine::dispatch(Worker& w, NodeId to, const net::Message& msg) {
+  if (!network_.isAlive(to)) {
+    // A stale view entry pointed at a dead node, or the destination died
+    // (churn at a cycle boundary) while the message was in flight: the
+    // message vanishes — exactly CYCLON's implicit failure detection.
+    ++w.droppedDead;
+    return;
   }
+  seedEventRng(w.ctx, to);
+  for (auto* protocol : protocols_)
+    if (protocol->shardDeliver(to, msg, w.ctx)) return;
+  ++w.droppedUnroutable;
 }
 
 std::uint64_t ShardedEngine::messagesSent() const noexcept {

@@ -2,71 +2,71 @@
 // one scenario on all cores, bit-identical for any worker count.
 //
 // The population is partitioned into P shards (shard = node id mod P, one
-// worker per shard, P = --engine-threads). A cycle executes as a sequence
-// of parallel phases separated by barriers (common/task_pool):
+// worker per shard, P = --engine-threads). Every timing model runs one
+// schedule. A cycle spans a fixed number of slots, one tick each, and node
+// n acts at its own slot offset:
 //
-//   step phase     every shard runs the active gossip step of its own
-//                  nodes; all sends are buffered, nothing is delivered.
-//   deliver round  every shard takes the messages addressed to its own
-//                  nodes, sorts them into canonical (destination, sender,
-//                  send-seq) order, and runs the protocol handlers;
-//                  replies are buffered for the next round.
-//   ...            rounds repeat until no messages are in flight (two
-//                  rounds for CYCLON/VICINITY: request, reply).
-//   controls       sequential, at the cycle boundary — churn, probes and
-//                  Network membership mutations happen only here, so the
-//                  parallel phases see an immutable population.
+//   CycleSync  kStepBatches slots; node n steps at batchOf(n). Splitting
+//              the cycle bounds in-flight exchanges to population /
+//              kStepBatches per round: a single barrier over the whole
+//              population would buffer one full round of requests at
+//              once (GiBs of outbox slots at 10M nodes).
+//   jittered   ticksPerCycle slots; node n's timer fires at
+//              timerPhaseOf(n), a hash of the id.
+//
+// Work runs in parallel phases separated by barriers (common/task_pool):
+//
+//   worklist   every shard buckets its alive nodes by slot offset.
+//   tick       every shard delivers the stored messages due at this tick,
+//              in canonical order, then steps the nodes of this slot; all
+//              sends are buffered, nothing is delivered.
+//   deliver    every shard gathers the buffered messages addressed to its
+//              nodes, parks the ones a latency draw made due later in its
+//              delivery store, sorts the rest into canonical
+//              (destination, sender, send-seq) order and runs the
+//              protocol handlers; replies are buffered for the next
+//              round. Rounds repeat until the tick is quiet (two for
+//              CYCLON/VICINITY: request, reply).
+//   boundary   sequential, at the cycle's end: buffer upkeep, then the
+//              controls. Churn, probes and Network membership mutations
+//              happen only here, so the parallel phases see an immutable
+//              population.
+//
+// Ticks run in conservative windows. At each barrier the coordinator
+// computes the safe horizon
+//
+//   horizon = min(next event time across shards) + lookahead,
+//
+// where the next event time is the earlier of the next occupied slot and
+// the earliest stored delivery, and the lookahead is the minimum message
+// latency (LatencyModel::minLatencyTicks()). Every tick below the horizon
+// runs without further coordination: a message sent at tick t arrives no
+// earlier than t + lookahead >= horizon. With lookahead 0 (CycleSync,
+// latency-free jittered timing, or a zero latency floor) a window is one
+// tick and the deliver rounds carry that tick's request/reply cascade.
+// With a floor of 1 or more, the one deliver round after each tick parks
+// everything sent in it. Stored messages due past the cycle's end carry
+// over to later cycles.
 //
 // Determinism: cross-node effects travel only through buffered messages;
 // within a phase every callback touches only the acting node's state (see
 // sim/sharded.hpp for the contract). Delivery order per destination node
 // is fixed by the canonical sort, send order per sender is fixed by the
-// sender's own execution, and every random draw comes from a per-node
-// stream derived with deriveStreamSeed(seed, node, eventIndex). None of
-// these depend on the shard layout or thread scheduling, so runs with 1,
-// 2, or 8 workers produce bit-identical views, records and reports. (The
-// semantics intentionally differ from the sequential Engine's CycleSync
-// sweep, whose in-cycle exchange interleaving is order-dependent; the
-// sharded mode is its own reference, pinned by the determinism suites.)
+// sender's own execution, every random draw (latency draws included)
+// comes from a per-node stream derived with deriveStreamSeed(seed, node,
+// eventIndex), and slot offsets are pure functions of the node id. None
+// of these depend on the shard layout or thread scheduling, so runs with
+// 1, 2, or 8 workers produce bit-identical views, records and reports.
+// The semantics intentionally differ from the sequential Engine, whose
+// CycleSync sweep interleaves in-cycle exchanges in an order-dependent
+// way and whose shared instance RNGs (timer phases in spawn order,
+// latency draws in global send order) cannot be reproduced shard-locally.
+// The sharded schedule is its own reference, pinned by the determinism
+// suites and tests/sim/sharded_schedule_golden_test.cpp.
 //
-// Memory: a naive barrier would buffer one full round of requests for
-// the whole population at once (~GBs at 10M nodes), so each cycle's step
-// phase is split into kStepBatches sub-batches — batch membership is a
-// pure function of the node id, keeping the schedule partition-
-// independent while bounding in-flight traffic to population/kStepBatches
-// exchanges. All buffers (outboxes, inbox indexes, worklists, payload
-// slots) are recycled, so a steady-state cycle allocates nothing.
-//
-// Windowed execution (JitteredPeriodic, with or without latency): the
-// lockstep schedule above assumes all timers coincide. Under jittered
-// timing the engine instead runs conservative windowed PDES over
-// per-shard event state — each shard keeps the in-flight messages due at
-// its own nodes in a ShardDeliveryQueue, and node timers fire at
-// per-node phase offsets within the cycle's ticksPerCycle-tick span. At
-// each barrier the coordinator computes the global safe horizon
-//
-//   horizon = min(next event time across shards) + lookahead,
-//
-// where the next event time is the earlier of the next occupied timer
-// tick and the earliest stored delivery, and the lookahead is the
-// minimum cross-shard message latency (LatencyModel::minLatencyTicks()).
-// Every tick below the horizon executes without further coordination:
-// any message sent at tick t inside the window arrives no earlier than
-// t + lookahead >= horizon, so nothing sent in-window can become due
-// in-window. Cross-shard sends buffer into the same parity outboxes as
-// the lockstep path and merge at the window barrier in canonical
-// (to, from, sender-seq) order. Latency-free jittered timing has
-// lookahead 0 (sends are immediate) and degrades to 1-tick windows with
-// delivery sub-rounds until the tick quiesces — the same request/reply
-// cascade as the lockstep deliver rounds, per tick instead of per batch.
-// Timer phases are a pure function of the node id (a deriveStreamSeed
-// hash), so the event schedule — like everything else — is independent
-// of the shard layout and thread count. The jittered sharded schedule is
-// its own reference, exactly like the CycleSync sharded schedule: the
-// sequential Engine's shared instance RNGs (timer phases in spawn order,
-// latency draws in global send order) cannot be reproduced shard-locally,
-// so the determinism suites pin sharded-vs-sharded bit-identity across
-// thread counts plus macroscopic agreement with the sequential engine.
+// Memory: all buffers (outboxes, inbox indexes, worklists, payload slots,
+// delivery stores) are recycled, and their capacity is settled at cycle
+// boundaries, so a steady-state cycle allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -91,11 +91,11 @@ namespace vs07::sim {
 /// as under sim::Engine.
 class ShardedEngine {
  public:
-  /// Step phase sub-batches per cycle (bounds in-flight exchange buffers
-  /// to population/kStepBatches per round — at 10M nodes the difference
-  /// between hundreds of MiB and several GiB of resident outbox slots).
-  /// Part of the deterministic schedule: results depend on this constant,
-  /// never on the thread count.
+  /// Slots (ticks) per CycleSync cycle: the step sub-batches that bound
+  /// in-flight exchange buffers to population/kStepBatches per round — at
+  /// 10M nodes the difference between hundreds of MiB and several GiB of
+  /// resident outbox slots. Part of the deterministic schedule: results
+  /// depend on this constant, never on the thread count.
   static constexpr std::uint32_t kStepBatches = 64;
   /// Nodes per batch stripe: ids [16k, 16k+16) share a batch, so every
   /// batch spreads over all shards for any worker count up to 16.
@@ -106,11 +106,11 @@ class ShardedEngine {
   /// bootstrap hub funnel do).
   static constexpr std::uint32_t kTrimAfterCycles = 8;
 
-  /// CycleSync timing (lockstep barriered cycles) unless `timing` says
-  /// otherwise; JitteredPeriodic (with or without a LatencyModel) runs
-  /// the windowed schedule described in the file comment. CycleSync with
-  /// a latency model is not supported sharded (the lockstep sweep has no
-  /// tick axis to delay along) — use jitteredLatency for delayed traffic.
+  /// CycleSync timing unless `timing` says otherwise; every model runs the
+  /// schedule described in the file comment. CycleSync with a latency
+  /// model is a contract violation: its ticks are step batches, not time,
+  /// so there is nothing to delay along — use jitteredLatency for delayed
+  /// traffic.
   ShardedEngine(Network& network, std::uint64_t seed, std::uint32_t threads,
                 TimingConfig timing = TimingConfig::cycleSync());
   ~ShardedEngine();
@@ -142,8 +142,11 @@ class ShardedEngine {
   /// Completed cycles.
   std::uint64_t cycle() const noexcept { return cycle_; }
 
-  /// Current simulated tick. Advances only under jittered timing (the
-  /// lockstep CycleSync schedule has no tick axis).
+  /// Current simulated tick. Under CycleSync a cycle spans kStepBatches
+  /// ticks, and node n steps in cycle c at tick c * kStepBatches +
+  /// batchOf(n). Under jittered timing a cycle spans ticksPerCycle ticks,
+  /// node n's timer fires at c * ticksPerCycle + timerPhaseOf(n), and
+  /// latency draws count in ticks.
   std::uint64_t tick() const noexcept { return currentTick_; }
 
   const TimingConfig& timing() const noexcept { return timing_; }
@@ -170,7 +173,7 @@ class ShardedEngine {
 
   /// Latency-delayed messages currently stored across all shard queues
   /// (in flight past the current tick; drains to zero only when traffic
-  /// stops). Always 0 under CycleSync or latency-free timing.
+  /// stops). Always 0 without a latency model.
   std::size_t storedInFlight() const noexcept;
 
   /// Timer phase offset of `node` within the cycle span — a pure hash of
@@ -190,8 +193,8 @@ class ShardedEngine {
   struct Pending {
     NodeId to = kNoNode;
     std::uint32_t seq = 0;  ///< per-sender send counter (canonical tiebreak)
-    /// Arrival tick under jittered timing (send tick + latency draw);
-    /// unused by the lockstep CycleSync schedule.
+    /// Arrival tick: send tick + latency draw (the send tick without a
+    /// latency model).
     std::uint64_t dueTick = 0;
     net::Message msg;       ///< sender id travels in msg.from
   };
@@ -264,13 +267,12 @@ class ShardedEngine {
     explicit Worker(std::uint32_t shard, BarrierSender& sender)
         : ctx(shard, sender) {}
     ShardContext ctx;
-    /// This cycle's alive nodes of the shard, bucketed by step batch
-    /// (CycleSync) or by timer phase offset (jittered).
+    /// This cycle's alive nodes of the shard, bucketed by slot offset.
     std::vector<std::vector<NodeId>> worklist;
     /// Sorted index of messages due at this shard in the current round.
     std::vector<InRef> inbox;
-    /// Windowed schedule only: payloads of latency-delayed messages
-    /// addressed to this shard, keyed by arrival tick in `dueQueue`.
+    /// Payloads of latency-delayed messages addressed to this shard,
+    /// keyed by arrival tick in `dueQueue`.
     net::MessagePool store;
     ShardDeliveryQueue<StoreRef> dueQueue;
     /// Per-tick scratch: refs popped due this tick, canonically sorted.
@@ -280,33 +282,28 @@ class ShardedEngine {
   };
 
   enum class Phase {
-    kWorklist,    ///< bucket the shard's alive nodes (both schedules)
-    kStep,        ///< lockstep: step one batch
-    kDeliver,     ///< lockstep: deliver one parity round
-    kWindowTick,  ///< windowed: due deliveries then timers at currentTick_
-    kDeliverNow,  ///< windowed, lookahead 0: same-tick delivery sub-round
-    kIngest,      ///< windowed: drain read-parity outboxes into stores
+    kWorklist,  ///< bucket the shard's alive nodes by slot offset
+    kTick,      ///< stored deliveries due now, then the slot's steps
+    kDeliver,   ///< one round over the read-parity outboxes
   };
 
   void runOneCycle();
-  /// The lockstep CycleSync schedule (unchanged from the pre-windowed
-  /// engine; the determinism suites pin its results bit-for-bit).
-  void runLockstepCycle();
-  /// The windowed jittered schedule (see file comment).
-  void runJitteredCycle();
   void runPhase(std::size_t shard);
   void buildWorklist(std::uint32_t shard);
-  void stepPhase(std::uint32_t shard);
+  /// Delivers everything stored due <= currentTick_ (canonical order),
+  /// then steps this tick's slot.
+  void tickPhase(std::uint32_t shard);
+  /// Gathers the read-parity messages addressed to this shard, parks the
+  /// ones due after currentTick_ in the store, and delivers the rest in
+  /// canonical order.
   void deliverPhase(std::uint32_t shard);
-  /// Windowed: deliver everything stored due <= currentTick_ (canonical
-  /// order), then fire this tick's node timers.
-  void windowTickPhase(std::uint32_t shard);
-  /// Windowed, lookahead 0: deliver read-parity messages due at
-  /// currentTick_ in canonical order; park later-due ones in the store.
-  void deliverNowPhase(std::uint32_t shard);
-  /// Windowed, lookahead >= 1: park every read-parity message addressed
-  /// to this shard in the store (all are due at or past the horizon).
-  void ingestPhase(std::uint32_t shard);
+  /// Hands one message to the protocols at its (alive) destination.
+  void dispatch(Worker& w, NodeId to, const net::Message& msg);
+  /// Slot offset of `node` within its cycle.
+  std::uint32_t slotOf(NodeId node) const noexcept {
+    return timing_.mode == TimingMode::kCycleSync ? batchOf(node)
+                                                  : timerPhaseOf(node);
+  }
   void ensureNode(NodeId node);
   /// Cycle-boundary buffer upkeep (sequential): re-reserves every slot
   /// buffer when the observed high-water payload capacity grew this
@@ -329,6 +326,7 @@ class ShardedEngine {
   const std::uint32_t shardCount_;
   const std::uint64_t streamSeed_;
   const TimingConfig timing_;
+  const std::uint32_t slotCount_;
   TaskPool pool_;
   GrowthTracker growth_{*this};
   std::vector<ShardedProtocol*> protocols_;
@@ -348,12 +346,11 @@ class ShardedEngine {
   /// are still growing, i.e. during the first cycles.
   std::size_t warmedEntryCap_ = 0;
   std::size_t warmedIdCap_ = 0;
-  std::uint32_t parity_ = 0;       ///< outbox side written by this phase
-  std::uint32_t currentBatch_ = 0;
-  /// Windowed schedule state (coordinator-written between barriers).
+  std::uint32_t parity_ = 0;  ///< outbox side written by this phase
+  /// Schedule position (coordinator-written between barriers).
   std::uint64_t currentTick_ = 0;
   std::uint64_t cycleStartTick_ = 0;
-  /// Per phase offset: 1 when any shard has timers at that offset this
+  /// Per slot offset: 1 when any shard has nodes at that offset this
   /// cycle (coordinator aggregate of the worklists).
   std::vector<std::uint8_t> offsetOccupied_;
   /// Single persistent phase thunk: parallelFor never boxes a fresh
