@@ -102,9 +102,9 @@ void BM_ShardedGossipCycleLatency(benchmark::State& state) {
                       .timing(sim::TimingConfig::jitteredLatency(
                           sim::LatencyModel::uniform(1, 4)))
                       .build();
-  // The windowed schedule keeps latency-delayed traffic in per-shard
-  // stores across cycles; a few settle cycles let the stores and due
-  // queues reach their steady capacity before the timed loop.
+  // Latency-delayed traffic waits in per-shard stores across cycles; a
+  // few settle cycles let the stores and due queues reach their steady
+  // capacity before the timed loop.
   scenario.runCycles(3);
   const std::uint64_t sentBefore = scenario.gossipMessagesSent();
   const vs07::AllocScope allocs;
@@ -114,10 +114,10 @@ void BM_ShardedGossipCycleLatency(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * nodes * 2);
   state.counters["nodes"] = nodes;
   state.counters["engine_threads"] = threads;
-  // Same invariant as BM_ShardedGossipCycle, now for the windowed
-  // (conservative-lookahead) schedule: window scans, per-shard due
-  // queues, message-store check-in/out, and canonical-order delivery
-  // all run allocation-free once warm. The name prefix keeps this
+  // Same invariant as BM_ShardedGossipCycle, now with jittered timers
+  // and latency: multi-tick windows, per-shard due queues, message-store
+  // check-in/out, and canonical-order delivery all run allocation-free
+  // once warm. The name prefix keeps this
   // benchmark under main()'s zero-allocation gate.
   state.counters["allocs_per_cycle"] =
       static_cast<double>(allocDelta) / cycles;
@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
   if (quick)
     // The 10k-node scenarios take minutes to warm up; CI smoke exercises
     // the cheap benchmarks plus the 1k-node gossip cycles (sequential,
-    // sharded lockstep, and sharded windowed-latency), whose
+    // sharded CycleSync, and sharded jittered with latency), whose
     // allocs_per_cycle counters guard the zero-allocation hot path.
     passthroughStore.push_back(
         "--benchmark_filter=BM_(MessageCodec|TargetSelection)"

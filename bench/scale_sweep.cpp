@@ -26,8 +26,9 @@
 // thread-scaling sweep at the largest population: node-cycles/s and
 // speedup vs 1 worker at 1, 2, 4, ... N threads, with a cross-thread
 // message-count identity check as a cheap determinism guard. All three
-// --timing models shard: cyclesync runs the lockstep schedule, jittered
-// and latency run the windowed (conservative-lookahead) schedule.
+// --timing models shard, on the engine's one conservative-lookahead
+// schedule: a cyclesync cycle is 64 step-batch ticks, jittered and
+// latency cycles are ticksPerCycle timer ticks.
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>

@@ -20,8 +20,8 @@
 // exactly the §7 claim.
 //
 // --engine-threads N runs every model on the sharded engine with N
-// workers (jittered/latency ride the windowed conservative-lookahead
-// schedule) and appends a thread-scaling sweep *per timing mode*
+// workers (all three on its one conservative-lookahead schedule) and
+// appends a thread-scaling sweep *per timing mode*
 // (series "<model>_thread_scaling"). Live waves are a sequential-engine
 // feature and are skipped in sharded runs.
 #include <cstdio>

@@ -67,9 +67,9 @@ class Scenario {
     /// engine with that many worker threads (sim/sharded_engine.hpp);
     /// results are bit-identical for any value >= 1, so determinism
     /// tests can compare 1 vs 8. Supports CycleSync (latency-free) and
-    /// JitteredPeriodic timing with or without a LatencyModel (the
-    /// windowed schedule); link-level network conditions remain
-    /// sequential-only, as do live sessions.
+    /// JitteredPeriodic timing with or without a LatencyModel;
+    /// link-level network conditions remain sequential-only, as do live
+    /// sessions.
     std::uint32_t engineThreads = 0;
 
     // -- timing model (engine timers + optional message latency) --------
@@ -277,8 +277,8 @@ class ScenarioBuilder {
   ScenarioBuilder& seed(std::uint64_t s);
   /// Run all cycles on the sharded engine with `threads` workers
   /// (bit-identical for any threads >= 1). Supports CycleSync and the
-  /// jittered timing modes, including message latency (windowed
-  /// execution); network conditions stay sequential-only.
+  /// jittered timing modes, including message latency; network
+  /// conditions stay sequential-only.
   ScenarioBuilder& engineThreads(std::uint32_t threads);
   ScenarioBuilder& rings(std::uint32_t count);
   ScenarioBuilder& warmupCycles(std::uint32_t cycles);

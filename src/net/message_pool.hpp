@@ -129,10 +129,29 @@ class MessagePool {
     }
   }
 
+  /// Tops up the payload buffers of every slot of the shape those
+  /// capacities describe, free or checked in, to at least those
+  /// capacities. An owner tracking a high-water payload capacity calls
+  /// it when the high-water grows: a slot warmed before that would hand
+  /// a short buffer to the next sender whose message it swaps with.
+  void rewarm(std::size_t entryCapacity, std::size_t idCapacity) {
+    const Shape shape = shapeOf(entryCapacity, idCapacity);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (shape_[i] != shape) continue;
+      Message& stored = slots_[i];
+      if (stored.entries.capacity() < entryCapacity)
+        stored.entries.reserve(entryCapacity);
+      if (stored.ids.capacity() < idCapacity) stored.ids.reserve(idCapacity);
+    }
+  }
+
   /// Slots currently checked in (queued messages).
   std::size_t inUse() const noexcept { return inUse_; }
-  /// High-water mark of simultaneously checked-in slots.
+  /// High-water mark of simultaneously checked-in slots (since
+  /// construction or the last resetPeak()).
   std::size_t peakInUse() const noexcept { return peakInUse_; }
+  /// Restarts the high-water mark from the current in-use count.
+  void resetPeak() noexcept { peakInUse_ = inUse_; }
   /// Slots ever created; stops growing once traffic reaches steady state.
   std::size_t capacity() const noexcept { return slots_.size(); }
   /// checkIn() calls served from a freelist rather than a fresh slot.

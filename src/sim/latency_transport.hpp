@@ -55,8 +55,6 @@ class LatencyTransport final : public net::Transport {
   /// transport's traffic only).
   std::size_t inFlight() const noexcept { return inFlight_; }
 
-  const LatencyModel& latency() const noexcept { return latency_; }
-
  private:
   /// Inner sink the engine delivers to: maintains the in-flight counter,
   /// then forwards to the downstream sink.

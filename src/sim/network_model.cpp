@@ -108,13 +108,10 @@ std::vector<NodeId> PartitionSchedule::members(std::uint32_t group) const {
 
 // -- NetworkModel --------------------------------------------------------
 
-NetworkModel::NetworkModel(std::uint64_t seed) : rng_(seed) {}
-
 NetworkModel::NetworkModel(const NetworkConditions& conditions,
                            const Network& network,
                            std::uint32_t ticksPerCycle, std::uint64_t seed)
-    : conditions_(conditions),
-      rng_(seed),
+    : rng_(seed),
       activeFromTick_(conditions.startCycle * ticksPerCycle) {
   VS07_EXPECT(ticksPerCycle >= 1);
   if (conditions.lossRate > 0.0)

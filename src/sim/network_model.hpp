@@ -63,9 +63,6 @@ class LinkModel {
   /// in the chain). Called once per send, in chain order.
   virtual void apply(NodeId src, NodeId dst, std::uint64_t tick,
                      LinkFate& fate, Rng& rng) = 0;
-
-  /// Stable lowercase name for bench JSON metadata.
-  virtual const char* name() const noexcept = 0;
 };
 
 /// Independent per-message Bernoulli loss: each link crossing fails with
@@ -79,7 +76,6 @@ class BernoulliLossLink final : public LinkModel {
              Rng& rng) override {
     if (fate.copies != 0 && rng.chance(lossRate_)) fate.copies = 0;
   }
-  const char* name() const noexcept override { return "bernoulli_loss"; }
 
   double lossRate() const noexcept { return lossRate_; }
 
@@ -107,7 +103,6 @@ class GilbertElliottLink final : public LinkModel {
   explicit GilbertElliottLink(Params params) : params_(params) {}
   void apply(NodeId src, NodeId dst, std::uint64_t tick, LinkFate& fate,
              Rng& rng) override;
-  const char* name() const noexcept override { return "gilbert_elliott"; }
 
   const Params& params() const noexcept { return params_; }
   /// Directed links currently tracked (diagnostics).
@@ -131,7 +126,6 @@ class DuplicateLink final : public LinkModel {
              Rng& rng) override {
     if (fate.copies != 0 && rng.chance(rate_)) ++fate.copies;
   }
-  const char* name() const noexcept override { return "duplicate"; }
 
  private:
   double rate_;
@@ -153,7 +147,6 @@ class ReorderLink final : public LinkModel {
     if (fate.copies != 0 && rng.chance(rate_))
       fate.extraDelayTicks += 1 + rng.below(maxExtra_);
   }
-  const char* name() const noexcept override { return "reorder"; }
 
  private:
   double rate_;
@@ -223,7 +216,6 @@ class PartitionSchedule {
   }
 
   std::uint32_t groupCount() const noexcept { return groupCount_; }
-  const std::vector<Window>& windows() const noexcept { return windows_; }
 
   /// Members of `group` among the construction-time population, in the
   /// group-assignment order (ring order for the split* factories).
@@ -306,13 +298,10 @@ class NetworkModel {
   /// plan needs the population's ring order, hence the Network, and its
   /// cycle-denominated windows scale by `ticksPerCycle`; `seed` feeds
   /// the model's private rng stream (loss/duplication/reorder draws and
-  /// the arc-position draw).
+  /// the arc-position draw). Custom assemblies start from empty
+  /// conditions and add to them via addLink / setPartitions.
   NetworkModel(const NetworkConditions& conditions, const Network& network,
                std::uint32_t ticksPerCycle, std::uint64_t seed);
-
-  /// An empty model (no conditions) for custom assembly via addLink /
-  /// setPartitions.
-  explicit NetworkModel(std::uint64_t seed);
 
   NetworkModel(const NetworkModel&) = delete;
   NetworkModel& operator=(const NetworkModel&) = delete;
@@ -326,9 +315,6 @@ class NetworkModel {
   const PartitionSchedule* partitions() const noexcept {
     return hasPartitions_ ? &partitions_ : nullptr;
   }
-
-  void setClusterLatency(ClusterLatency clusters) { clusters_ = clusters; }
-  void setBandwidth(BandwidthCap cap) { bandwidth_ = cap; }
 
   /// Pre-sizes the per-sender egress bookkeeping so steady-state sends
   /// never grow it (the zero-alloc contract). Called by the scenario
@@ -376,10 +362,7 @@ class NetworkModel {
   }
   std::uint64_t maxQueueDelay() const noexcept { return maxQueueDelay_; }
 
-  const NetworkConditions& conditions() const noexcept { return conditions_; }
-
  private:
-  NetworkConditions conditions_{};
   std::vector<std::unique_ptr<LinkModel>> chain_;
   PartitionSchedule partitions_;
   bool hasPartitions_ = false;

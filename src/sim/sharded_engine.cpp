@@ -100,13 +100,11 @@ void ShardedEngine::BarrierSender::send(NodeId to, net::Message&& msg) {
   VS07_EXPECT(msg.from < e.sendSeq_.size());
   Bucket& bucket = e.outbox(shard, e.parity_, e.shardOf(to));
   if (bucket.count == bucket.slots.size()) {
-    // Grow geometrically and pre-warm the new slots' payload buffers.
-    // Per-bucket traffic fluctuates cycle to cycle, so its high-water
-    // mark keeps creeping for a long time after warm-up; size-by-one
-    // growth would turn every creep into a steady-state allocation (a
-    // cold slot buffer gets swapped out to a scratch message that must
-    // then regrow). With 1.5x slack plus warm buffers, creep lands on
-    // pre-warmed slots and steady-state cycles stay allocation-free.
+    // Grow geometrically and pre-warm the new slots' payload buffers (a
+    // cold slot buffer would be swapped out to a scratch message that
+    // must then regrow). This is the warm-up and spike path: in steady
+    // state the cycle boundary has already sized the bucket (see
+    // maintainBuffers).
     const std::size_t old = bucket.slots.size();
     const std::size_t grown = std::max<std::size_t>(old + old / 2, 8);
     bucket.slots.resize(grown);
@@ -212,17 +210,52 @@ void ShardedEngine::runOneCycle() {
 }
 
 void ShardedEngine::maintainBuffers() {
-  // Trim: release slots of buckets sized by a one-off burst (the star
-  // bootstrap funnels every node's first exchanges at one hub, leaving a
-  // few buckets provisioned for the whole population). Hysteresis keeps
-  // steady-state traffic from ever trimming — and thus from regrowing.
+  // The payload high-water across shards (see send()).
+  std::size_t entryCap = warmedEntryCap_;
+  std::size_t idCap = warmedIdCap_;
+  for (const auto& sender : senders_) {
+    entryCap = std::max(entryCap, sender.entryCap);
+    idCap = std::max(idCap, sender.idCap);
+  }
+  // Boundary slack, jittered timing only. Per-tick traffic varies with
+  // every cycle's timer and latency draws, so a bucket's or a store's
+  // peak demand keeps setting records long after warm-up, and a record
+  // past its capacity grows the buffer mid-cycle, inside the parallel
+  // hot path. Such buffers are sized here instead, from the level of
+  // their per-cycle peaks (an average over about 8 cycles): once the
+  // capacity falls below 3x the level, it grows to want() — 4x the
+  // larger of level and peak, plus 32 slots for the small buffers whose
+  // peaks spread widest. 3x the level covers the per-cycle record
+  // (about 1.5x the level, up to twice it in small buckets) with room
+  // to spare, and the level must rise by a third before the next
+  // growth. Triggering on the level, not on single peaks, keeps the
+  // ordinary spread of peaks from growing a warm buffer; a spike past
+  // the capacity still grows it in send(). The level follows warm-up's
+  // ramp within a few dozen cycles. CycleSync buckets
+  // carry whole step batches, whose counts peak during warm-up — no
+  // slack there (and none taken: at 10M nodes tripling every bucket is
+  // real memory).
+  const bool slack = timing_.mode != TimingMode::kCycleSync;
+  const auto want = [slack](double level) {
+    return slack ? 4 * static_cast<std::size_t>(level) + 32
+                 : static_cast<std::size_t>(level);
+  };
+  const auto smooth = [](double& level, std::size_t peak) {
+    level += (static_cast<double>(peak) - level) / 8;
+  };
   for (auto& bucket : outboxes_) {
-    const bool excess = bucket.slots.size() > 8 &&
-                        bucket.slots.size() > 4 * bucket.cyclePeak;
+    smooth(bucket.level, bucket.cyclePeak);
+    // Trim: release slots of buckets sized by a one-off burst (the star
+    // bootstrap funnels every node's first exchanges at one hub, leaving
+    // a few buckets provisioned for the whole population), keeping
+    // twice what the level asks for. Measured against want(), slack
+    // included, steady traffic never trims — and thus never regrows.
+    const std::size_t wanted = want(bucket.level);
+    const bool excess =
+        bucket.slots.size() > 8 && bucket.slots.size() > 4 * wanted;
     bucket.excessCycles = excess ? bucket.excessCycles + 1 : 0;
     if (bucket.excessCycles >= kTrimAfterCycles) {
-      const std::size_t target =
-          std::max<std::size_t>(2 * bucket.cyclePeak, 8);
+      const std::size_t target = std::max<std::size_t>(2 * wanted, 8);
       // Keep the first `target` slots (their payload buffers are warm);
       // moving them into a right-sized vector releases the rest.
       std::vector<Pending> kept(
@@ -231,59 +264,61 @@ void ShardedEngine::maintainBuffers() {
       bucket.slots = std::move(kept);
       bucket.excessCycles = 0;
     }
-  }
-  // Re-warm: slots first used long after creation were pre-warmed when
-  // the high-water payload capacity was still immature; a record burst
-  // reaching them mid-run would pay a late reallocation. Whenever the
-  // cap grows (first cycles only), bring every slot buffer up to it in
-  // one sequential sweep — afterwards this is a pair of comparisons.
-  std::size_t entryCap = warmedEntryCap_;
-  std::size_t idCap = warmedIdCap_;
-  for (const auto& sender : senders_) {
-    entryCap = std::max(entryCap, sender.entryCap);
-    idCap = std::max(idCap, sender.idCap);
-  }
-  // Windowed-schedule slack: per-tick bucket traffic varies with every
-  // cycle's latency draws (delivery ticks move, and replies move with
-  // them), so per-bucket records keep creeping long after warm-up — and
-  // a record reached mid-cycle grows the bucket then, inside the
-  // parallel hot path. Growing here instead, at the sequential cycle
-  // boundary, absorbs the creep; the trigger-at-2x / grow-to-3x band
-  // (inside trim's 4x ceiling, so growth and trim never oscillate)
-  // keeps the boundary growth itself from firing on every +1 creep. A
-  // mid-cycle growth would then need the record to jump past 2x, which
-  // stationary traffic does not do. The lockstep schedule consumes
-  // buckets once per batch, not per tick, and peaks during warm-up — no
-  // slack needed there (and none taken: at 10M nodes tripling every
-  // bucket is real memory).
-  if (timing_.mode != TimingMode::kCycleSync) {
-    for (auto& bucket : outboxes_) {
-      if (bucket.cyclePeak > 0 && bucket.slots.size() < 2 * bucket.cyclePeak) {
-        const std::size_t old = bucket.slots.size();
-        bucket.slots.resize(3 * bucket.cyclePeak);
-        for (std::size_t i = old; i < bucket.slots.size(); ++i) {
-          bucket.slots[i].msg.entries.reserve(entryCap);
-          bucket.slots[i].msg.ids.reserve(idCap);
-        }
+    if (slack && bucket.slots.size() < 3 * bucket.level) {
+      const std::size_t old = bucket.slots.size();
+      bucket.slots.resize(
+          want(std::max(bucket.level, static_cast<double>(bucket.cyclePeak))));
+      for (std::size_t i = old; i < bucket.slots.size(); ++i) {
+        bucket.slots[i].msg.entries.reserve(entryCap);
+        bucket.slots[i].msg.ids.reserve(idCap);
       }
     }
-    // In-flight store slack, same reasoning: the record of messages
-    // stored simultaneously shifts with arrival peaks, and a cold pool
-    // slot minted at a mid-cycle record swaps the sender's warm buffer
-    // away (see MessagePool::reserveWarm).
-    for (auto& w : workers_) {
-      const std::size_t peak = w.store.peakInUse();
-      if (peak == 0) continue;
-      if (w.store.capacity() < 2 * peak)
-        w.store.reserveWarm(3 * peak, entryCap, idCap);
-      if (w.dueQueue.capacity() < 2 * peak) w.dueQueue.reserve(3 * peak);
-      if (w.dueScratch.capacity() < 2 * peak) w.dueScratch.reserve(3 * peak);
+    bucket.cyclePeak = 0;
+  }
+  // Re-warm trigger: a grown high-water leaves every older buffer short,
+  // and a store slot minted mid-cycle swapped a cold buffer into an
+  // outbox slot (see MessagePool::checkIn). Either way, a short buffer
+  // handed to a sender later — maybe hundreds of cycles on, when a rare
+  // burst reaches its slot — would allocate then.
+  bool rewarm = entryCap != warmedEntryCap_ || idCap != warmedIdCap_;
+  for (const auto& w : workers_) rewarm |= w.store.capacity() != w.storeSlots;
+  for (std::uint32_t shard = 0; shard < shardCount_; ++shard) {
+    Worker& w = workers_[shard];
+    // In-flight store slack, same rule as the buckets': a pool slot
+    // minted at a mid-cycle record allocates (see
+    // MessagePool::reserveWarm). Always empty without a latency model.
+    const std::size_t peak = w.store.peakInUse();
+    w.store.resetPeak();
+    smooth(w.storeLevel, peak);
+    if (slack && w.store.capacity() < 3 * w.storeLevel)
+      w.store.reserveWarm(
+          want(std::max(w.storeLevel, static_cast<double>(peak))), entryCap,
+          idCap);
+    w.storeSlots = w.store.capacity();
+    // Bounds, not records: the due queue and the per-tick scratch never
+    // hold more refs than the store has slots, and a deliver round
+    // gathers at most the read-side bucket slots addressed to the shard.
+    // (reserve() is a no-op once capacity suffices.)
+    w.dueQueue.reserve(w.storeSlots);
+    w.dueScratch.reserve(w.storeSlots);
+    for (std::uint32_t parity = 0; parity < 2; ++parity) {
+      std::size_t slots = 0;
+      for (std::uint32_t src = 0; src < shardCount_; ++src)
+        slots += outbox(src, parity, shard).slots.size();
+      w.inbox.reserve(slots);
     }
   }
-  for (auto& bucket : outboxes_) bucket.cyclePeak = 0;
-  if (entryCap == warmedEntryCap_ && idCap == warmedIdCap_) return;
+  if (!rewarm) return;
+  // Bring every buffer up to the high-water in one sequential sweep:
+  // outbox slots, store slots and the workers' message scratch. This
+  // happens in the first cycles only; afterwards the trigger above is a
+  // few comparisons.
   warmedEntryCap_ = entryCap;
   warmedIdCap_ = idCap;
+  const auto warm = [&](net::Message& msg) {
+    if (msg.entries.capacity() < entryCap) msg.entries.reserve(entryCap);
+    if (msg.ids.capacity() < idCap) msg.ids.reserve(idCap);
+  };
   for (auto& sender : senders_) {
     // Sync every shard to the global max so growth-time pre-warming of
     // fresh slots (see send()) uses the mature capacity.
@@ -291,11 +326,11 @@ void ShardedEngine::maintainBuffers() {
     sender.idCap = idCap;
   }
   for (auto& bucket : outboxes_)
-    for (auto& slot : bucket.slots) {
-      if (slot.msg.entries.capacity() < entryCap)
-        slot.msg.entries.reserve(entryCap);
-      if (slot.msg.ids.capacity() < idCap) slot.msg.ids.reserve(idCap);
-    }
+    for (auto& slot : bucket.slots) warm(slot.msg);
+  for (auto& w : workers_) {
+    w.store.rewarm(entryCap, idCap);
+    warm(w.ctx.messageScratch_);
+  }
 }
 
 void ShardedEngine::runPhase(std::size_t shard) {

@@ -100,10 +100,10 @@ class ShardedEngine {
   /// Nodes per batch stripe: ids [16k, 16k+16) share a batch, so every
   /// batch spreads over all shards for any worker count up to 16.
   static constexpr std::uint32_t kBatchStripe = 16;
-  /// Cycles a bucket must sit below a quarter of its slot high-water
-  /// before the excess is released (hysteresis: steady-state bursts must
-  /// never trigger trim/regrow churn, only genuine one-offs like the
-  /// bootstrap hub funnel do).
+  /// Cycles a bucket must sit at over four times the slots its demand
+  /// level asks for before the excess is released (hysteresis:
+  /// steady-state bursts must never trigger trim/regrow churn, only
+  /// genuine one-offs like the bootstrap hub funnel do).
   static constexpr std::uint32_t kTrimAfterCycles = 8;
 
   /// CycleSync timing unless `timing` says otherwise; every model runs the
@@ -213,13 +213,16 @@ class ShardedEngine {
     std::vector<Pending> slots;
     std::size_t count = 0;
     /// Highest round burst this cycle (tracked when rounds are cleared;
-    /// reset at the boundary) — drives the over-provision trim below.
+    /// reset at the boundary), and its smoothed level across cycles —
+    /// what boundary growth and the trim size the bucket by (see
+    /// maintainBuffers).
     std::size_t cyclePeak = 0;
-    /// Consecutive cycles with slots.size() far above cyclePeak. The
-    /// star bootstrap funnels the whole population at one hub, sizing a
-    /// few buckets to that one-off burst; once traffic has been steady
-    /// and far below the high-water for kTrimAfterCycles cycles, the
-    /// excess slots are released (see maintainBuffers).
+    double level = 0;
+    /// Consecutive cycles with far more slots than the level asks for.
+    /// The star bootstrap funnels the whole population at one hub,
+    /// sizing a few buckets to that one-off burst; once traffic has
+    /// stayed far below it for kTrimAfterCycles cycles, the excess slots
+    /// are released.
     std::uint32_t excessCycles = 0;
   };
   /// Sorted-delivery index entry: where a due message lives.
@@ -277,6 +280,11 @@ class ShardedEngine {
     ShardDeliveryQueue<StoreRef> dueQueue;
     /// Per-tick scratch: refs popped due this tick, canonically sorted.
     std::vector<StoreRef> dueScratch;
+    /// store.capacity() as the last boundary left it: a larger value
+    /// means checkIn() minted cold slots mid-cycle.
+    std::size_t storeSlots = 0;
+    /// Smoothed per-cycle peak of messages stored at once.
+    double storeLevel = 0;
     std::uint64_t droppedDead = 0;
     std::uint64_t droppedUnroutable = 0;
   };
@@ -297,7 +305,9 @@ class ShardedEngine {
   /// ones due after currentTick_ in the store, and delivers the rest in
   /// canonical order.
   void deliverPhase(std::uint32_t shard);
-  /// Hands one message to the protocols at its (alive) destination.
+  /// Delivers one message: a dead destination drops it (droppedDead),
+  /// otherwise the first protocol that claims it handles it
+  /// (droppedUnroutable when none does).
   void dispatch(Worker& w, NodeId to, const net::Message& msg);
   /// Slot offset of `node` within its cycle.
   std::uint32_t slotOf(NodeId node) const noexcept {
@@ -305,12 +315,13 @@ class ShardedEngine {
                                                   : timerPhaseOf(node);
   }
   void ensureNode(NodeId node);
-  /// Cycle-boundary buffer upkeep (sequential): re-reserves every slot
-  /// buffer when the observed high-water payload capacity grew this
-  /// cycle, and trims buckets whose slot count has sat far above the
-  /// traffic for kTrimAfterCycles cycles. Both converge within the first
-  /// cycles after (re)bootstrap; afterwards this is a cheap scan of the
-  /// O(threads^2) bucket headers.
+  /// Cycle-boundary buffer upkeep (sequential): sizes buckets, stores,
+  /// queues and inboxes for the next cycle, trims buckets whose slot
+  /// count has sat far above the traffic for kTrimAfterCycles cycles,
+  /// and re-warms every payload buffer when the high-water payload
+  /// capacity grew or a store minted cold slots. All of it converges
+  /// within the first cycles after (re)bootstrap; afterwards this is a
+  /// cheap scan of the O(threads^2) bucket headers.
   void maintainBuffers();
   Bucket& outbox(std::uint32_t worker, std::uint32_t parity,
                  std::uint32_t destShard) {

@@ -46,8 +46,8 @@ struct TimingCase {
 };
 
 /// The three execution models the engines support. CycleSync+latency is
-/// a contract violation (latency needs the windowed schedule), so the
-/// table is exactly these three.
+/// a contract violation (latency needs jittered timing), so the table is
+/// exactly these three.
 inline const std::vector<TimingCase>& conformanceTimings() {
   static const std::vector<TimingCase> kCases = {
       {"cyclesync", sim::TimingConfig::cycleSync()},

@@ -166,6 +166,35 @@ TEST(MessagePool, MixedShapeTrafficIsAllocationFreeOnceWarm) {
   EXPECT_GE(pull.ids.capacity(), 16u);
 }
 
+TEST(MessagePool, RewarmTopsUpEverySlotOfTheShape) {
+  MessagePool pool;
+  Message small = gossipMessage(1, 2);
+  Message live = gossipMessage(2, 2);
+  const auto freed = pool.checkIn(/*to=*/5, small);
+  const auto held = pool.checkIn(/*to=*/6, live);
+  pool.release(freed);
+  pool.rewarm(/*entryCapacity=*/64, /*idCapacity=*/0);
+  // The checked-in slot keeps its payload while its buffer grows...
+  EXPECT_EQ(pool.at(held).entries.size(), 2u);
+  EXPECT_GE(pool.at(held).entries.capacity(), 64u);
+  // ...and the free slot hands a topped-up buffer to its next sender.
+  Message next = gossipMessage(3, 1);
+  EXPECT_EQ(pool.checkIn(/*to=*/7, next), freed);
+  EXPECT_GE(next.entries.capacity(), 64u);
+}
+
+TEST(MessagePool, ResetPeakRestartsFromTheSlotsInUse) {
+  MessagePool pool;
+  Message a = gossipMessage(1, 1);
+  Message b = gossipMessage(2, 1);
+  const auto slotA = pool.checkIn(/*to=*/5, a);
+  pool.checkIn(/*to=*/6, b);
+  pool.release(slotA);
+  EXPECT_EQ(pool.peakInUse(), 2u);
+  pool.resetPeak();
+  EXPECT_EQ(pool.peakInUse(), 1u);
+}
+
 TEST(MessagePool, ReleaseOfUnusedSlotRejected) {
   MessagePool pool;
   Message m = gossipMessage(1, 1);

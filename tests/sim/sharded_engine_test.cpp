@@ -223,5 +223,46 @@ TEST(ShardedEngine, BatchAssignmentIsPartitionIndependent) {
     EXPECT_LT(ShardedEngine::batchOf(n), ShardedEngine::kStepBatches);
 }
 
+/// Logs the engine tick of every step; sends nothing.
+class StepTickProtocol final : public ShardedProtocol {
+ public:
+  StepTickProtocol(const ShardedEngine& engine, std::uint32_t capacity)
+      : ticks(capacity), engine_(engine) {}
+
+  void onShardedAttach(std::uint32_t /*shardCount*/) override {}
+  void shardStep(NodeId self, ShardContext& /*ctx*/) override {
+    ticks[self].push_back(engine_.tick());
+  }
+  bool shardDeliver(NodeId, const net::Message&, ShardContext&) override {
+    return false;
+  }
+
+  std::vector<std::vector<std::uint64_t>> ticks;
+
+ private:
+  const ShardedEngine& engine_;
+};
+
+TEST(ShardedEngine, CycleSyncTicksCountStepBatches) {
+  // Under CycleSync a cycle spans kStepBatches ticks, one per step batch:
+  // in cycle c, node n steps at tick c * kStepBatches + batchOf(n).
+  // 2000 nodes cover every batch stripe.
+  constexpr std::uint32_t kNodes = 2'000;
+  constexpr std::uint64_t kCycles = 3;
+  Network network(kNodes, 7);
+  ShardedEngine engine(network, 99, 3);
+  StepTickProtocol protocol(engine, kNodes);
+  engine.addProtocol(protocol);
+  engine.run(kCycles);
+  for (NodeId n = 0; n < kNodes; ++n) {
+    ASSERT_EQ(protocol.ticks[n].size(), kCycles) << "node " << n;
+    for (std::uint64_t c = 0; c < kCycles; ++c)
+      EXPECT_EQ(protocol.ticks[n][c],
+                c * ShardedEngine::kStepBatches + ShardedEngine::batchOf(n))
+          << "node " << n << " cycle " << c;
+  }
+  EXPECT_EQ(engine.tick(), kCycles * ShardedEngine::kStepBatches);
+}
+
 }  // namespace
 }  // namespace vs07::sim

@@ -1,6 +1,6 @@
-// Windowed (conservative-lookahead) execution of the ShardedEngine:
-// jittered timers and latency-delayed traffic on per-shard event queues,
-// asserted tick-exact and independent of the worker count.
+// Jittered timing on the ShardedEngine's conservative-lookahead windows:
+// timers and latency-delayed traffic on per-shard event queues, asserted
+// tick-exact and independent of the worker count.
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -17,7 +17,7 @@
 namespace vs07::sim {
 namespace {
 
-/// Tick-stamping cousin of the lockstep suite's RecordingProtocol: logs
+/// Tick-stamping cousin of sharded_engine_test's RecordingProtocol: logs
 /// every step and delivery together with the engine tick it executed at,
 /// so tests can pin *when* the windowed schedule runs events, not just
 /// in what order. Each step sends a deterministic two-message fan;
