@@ -217,28 +217,31 @@ void ShardedEngine::maintainBuffers() {
     entryCap = std::max(entryCap, sender.entryCap);
     idCap = std::max(idCap, sender.idCap);
   }
-  // Boundary slack, jittered timing only. Per-tick traffic varies with
-  // every cycle's timer and latency draws, so a bucket's or a store's
-  // peak demand keeps setting records long after warm-up, and a record
-  // past its capacity grows the buffer mid-cycle, inside the parallel
-  // hot path. Such buffers are sized here instead, from the level of
-  // their per-cycle peaks (an average over about 8 cycles): once the
-  // capacity falls below 3x the level, it grows to want() — 4x the
-  // larger of level and peak, plus 32 slots for the small buffers whose
-  // peaks spread widest. 3x the level covers the per-cycle record
-  // (about 1.5x the level, up to twice it in small buckets) with room
-  // to spare, and the level must rise by a third before the next
-  // growth. Triggering on the level, not on single peaks, keeps the
-  // ordinary spread of peaks from growing a warm buffer; a spike past
-  // the capacity still grows it in send(). The level follows warm-up's
-  // ramp within a few dozen cycles. CycleSync buckets
-  // carry whole step batches, whose counts peak during warm-up — no
-  // slack there (and none taken: at 10M nodes tripling every bucket is
-  // real memory).
-  const bool slack = timing_.mode != TimingMode::kCycleSync;
-  const auto want = [slack](double level) {
-    return slack ? 4 * static_cast<std::size_t>(level) + 32
-                 : static_cast<std::size_t>(level);
+  // Boundary sizing. Per-round bucket and store demand varies from cycle
+  // to cycle, so records keep creeping long after warm-up, and a record
+  // past a buffer's capacity grows it mid-cycle, inside the parallel hot
+  // path. Each buffer therefore tracks the level of its per-cycle peaks
+  // (an average over about 8 cycles) and grows here, at the sequential
+  // boundary, once its capacity runs short of that level, to want() of
+  // the larger of level and peak. Triggering on the level, not on single
+  // peaks, keeps the ordinary spread of peaks from growing a warm
+  // buffer; a spike past the capacity still grows it in send().
+  //   jittered   short below 3x the level, want = 4x + 32. Per-tick
+  //              traffic moves with every cycle's timer and latency
+  //              draws: the per-cycle record runs about 1.5x the level,
+  //              up to twice it in small buckets, and the level must
+  //              rise by a third before the next growth.
+  //   CycleSync  short below the level + 16, want = 1.25x + 32. Step
+  //              batches are steady, so only small buckets need room
+  //              beyond their level, and little multiplicative slack is
+  //              taken: at 10M nodes tripling every bucket is real
+  //              memory.
+  const bool jittered = timing_.mode != TimingMode::kCycleSync;
+  const auto want = [jittered](double level) {
+    return static_cast<std::size_t>((jittered ? 4.0 : 1.25) * level) + 32;
+  };
+  const auto isShort = [jittered](std::size_t slots, double level) {
+    return level > 0 && (jittered ? slots < 3 * level : slots < level + 16);
   };
   const auto smooth = [](double& level, std::size_t peak) {
     level += (static_cast<double>(peak) - level) / 8;
@@ -264,7 +267,7 @@ void ShardedEngine::maintainBuffers() {
       bucket.slots = std::move(kept);
       bucket.excessCycles = 0;
     }
-    if (slack && bucket.slots.size() < 3 * bucket.level) {
+    if (isShort(bucket.slots.size(), bucket.level)) {
       const std::size_t old = bucket.slots.size();
       bucket.slots.resize(
           want(std::max(bucket.level, static_cast<double>(bucket.cyclePeak))));
@@ -284,13 +287,13 @@ void ShardedEngine::maintainBuffers() {
   for (const auto& w : workers_) rewarm |= w.store.capacity() != w.storeSlots;
   for (std::uint32_t shard = 0; shard < shardCount_; ++shard) {
     Worker& w = workers_[shard];
-    // In-flight store slack, same rule as the buckets': a pool slot
-    // minted at a mid-cycle record allocates (see
-    // MessagePool::reserveWarm). Always empty without a latency model.
+    // The in-flight store follows the buckets' rule: a pool slot minted
+    // at a mid-cycle record allocates (see MessagePool::reserveWarm).
+    // Always empty without a latency model.
     const std::size_t peak = w.store.peakInUse();
     w.store.resetPeak();
     smooth(w.storeLevel, peak);
-    if (slack && w.store.capacity() < 3 * w.storeLevel)
+    if (isShort(w.store.capacity(), w.storeLevel))
       w.store.reserveWarm(
           want(std::max(w.storeLevel, static_cast<double>(peak))), entryCap,
           idCap);
