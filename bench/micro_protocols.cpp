@@ -48,6 +48,7 @@ void BM_GossipCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * nodes * 2);  // 2 protocols
   state.counters["nodes"] = nodes;
   // The hot-path invariant: steady-state gossip cycles allocate nothing.
+  // main() turns a violation into a nonzero exit (the ctest/CI gate).
   state.counters["allocs_per_cycle"] =
       static_cast<double>(allocDelta) / cycles;
   state.counters["msgs_per_cycle"] =
@@ -337,16 +338,19 @@ int main(int argc, char** argv) {
   report.write(scale);
   benchmark::Shutdown();
 
-  // The zero-allocation assertion for the sharded engine: any steady-
-  // state allocation on any worker thread fails the whole bench run.
+  // The zero-allocation assertion for gossip cycles on both engines: any
+  // steady-state allocation, sequential or on any worker thread, fails the
+  // whole bench run.
   bool allocFree = true;
   for (const auto& run : reporter.captured()) {
-    if (run.name.rfind("BM_ShardedGossipCycle", 0) != 0) continue;
+    if (run.name.rfind("BM_GossipCycle", 0) != 0 &&
+        run.name.rfind("BM_ShardedGossipCycle", 0) != 0)
+      continue;
     for (const auto& [name, value] : run.counters)
       if (name == "allocs_per_cycle" && value != 0.0) {
         std::fprintf(stderr,
                      "FAIL: %s allocated %.2f times/cycle in steady state "
-                     "(sharded cycles must be allocation-free)\n",
+                     "(gossip cycles must be allocation-free)\n",
                      run.name.c_str(), value);
         allocFree = false;
       }

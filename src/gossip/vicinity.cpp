@@ -5,53 +5,6 @@
 
 namespace vs07::gossip {
 
-namespace {
-
-/// Appends `entry` to `pool` unless an entry for the same node exists, in
-/// which case the *fresher* (lower age) of the two is kept.
-void poolInsert(std::vector<PeerDescriptor>& pool,
-                const PeerDescriptor& entry) {
-  for (auto& existing : pool) {
-    if (existing.node == entry.node) {
-      if (entry.age < existing.age) existing = entry;
-      return;
-    }
-  }
-  pool.push_back(entry);
-}
-
-/// Reduces `pool` to at most `budget` entries forming a balanced band
-/// around `anchor` on the id ring: the closest ⌈budget/2⌉ in clockwise
-/// (successor) direction plus the closest ⌊budget/2⌋ counter-clockwise.
-///
-/// This is the paper's §6 view content — "peers with gradually higher and
-/// lower sequence IDs" — and, unlike a symmetric nearest-k selection, it
-/// keeps both ring directions represented even when sequence ids are
-/// clustered (e.g. the §8 domain-sorted ring, where a node's whole
-/// cluster is nearer than its true cross-cluster successor).
-void selectRingBand(SequenceId anchor, std::vector<PeerDescriptor>& pool,
-                    std::size_t budget) {
-  if (pool.size() <= budget) return;
-  // Sort by clockwise distance from the anchor (ties by node id for
-  // determinism). The first entries are the nearest successors; the last
-  // are the nearest predecessors.
-  std::sort(pool.begin(), pool.end(),
-            [anchor](const PeerDescriptor& a, const PeerDescriptor& b) {
-              const auto da = clockwiseDistance(anchor, a.profile);
-              const auto db = clockwiseDistance(anchor, b.profile);
-              if (da != db) return da < db;
-              return a.node < b.node;
-            });
-  const std::size_t succCount = (budget + 1) / 2;
-  const std::size_t predCount = budget - succCount;
-  // [0, succCount) stays; move the predecessor tail up behind it.
-  for (std::size_t i = 0; i < predCount; ++i)
-    pool[succCount + i] = pool[pool.size() - predCount + i];
-  pool.resize(budget);
-}
-
-}  // namespace
-
 Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
                    sim::MessageRouter& router, const Cyclon& cyclon,
                    Params params, std::uint64_t seed, ProfileFn profile)
@@ -63,6 +16,10 @@ Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
       profile_(std::move(profile)) {
   VS07_EXPECT(params_.viewLength > 0);
   VS07_EXPECT(params_.exchangeLength > 0);
+  // Sized for both bands an exchange forms: the merged view and the offer.
+  const std::size_t budget =
+      std::max(params_.viewLength, params_.exchangeLength - 1);
+  band_ = RingBand((budget + 1) / 2, budget / 2);
   if (!profile_)
     profile_ = [&network](NodeId n) { return network.seqId(n); };
   router.route(
@@ -77,10 +34,11 @@ Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
 }
 
 PeerDescriptor Vicinity::selfDescriptor(NodeId node) const {
-  return PeerDescriptor{node, 0, profile_(node)};
+  return PeerDescriptor{node, 0, profileOf(node)};
 }
 
 void Vicinity::onReserve(NodeId count) {
+  profiles_.reserve(count);
   views_.reserve(count);
   pendingTarget_.reserve(count);
   bans_.reserve(count);
@@ -89,14 +47,20 @@ void Vicinity::onReserve(NodeId count) {
 
 void Vicinity::onSpawn(NodeId node) {
   if (node >= views_.size()) {
+    profiles_.resize(node + 1);
     views_.resize(node + 1);
     pendingTarget_.resize(node + 1, kNoNode);
     bans_.resize(node + 1);
     stepCount_.resize(node + 1, 0);
   }
+  profiles_[node] = profile_(node);
   views_[node] = View(node, params_.viewLength);
   pendingTarget_[node] = kNoNode;
   bans_[node].clear();
+}
+
+void Vicinity::onSeqIdChange(NodeId node) {
+  profiles_[node] = profile_(node);
 }
 
 void Vicinity::onKill(NodeId node) {
@@ -135,7 +99,7 @@ const View& Vicinity::view(NodeId node) const {
 
 RingNeighbors Vicinity::ringNeighbors(NodeId node) const {
   const View& v = view(node);
-  const SequenceId self = profile_(node);
+  const SequenceId self = profileOf(node);
   RingNeighbors result;
   std::uint64_t bestSucc = 0;
   std::uint64_t bestPred = 0;
@@ -157,38 +121,31 @@ RingNeighbors Vicinity::ringNeighbors(NodeId node) const {
 std::vector<NodeId> Vicinity::ringBand(NodeId node,
                                        std::uint32_t width) const {
   VS07_EXPECT(width >= 1);
-  const View& v = view(node);
-  const SequenceId self = profile_(node);
+  RingBand band;
+  const auto entries = view(node).entries();
+  band.select(profileOf(node), entries, width, width, entries.size());
+  const auto succ = band.successors();
+  const auto pred = band.predecessors();
 
-  std::vector<PeerDescriptor> sorted(v.entries().begin(), v.entries().end());
-  std::sort(sorted.begin(), sorted.end(),
-            [self](const PeerDescriptor& a, const PeerDescriptor& b) {
-              const auto da = clockwiseDistance(self, a.profile);
-              const auto db = clockwiseDistance(self, b.profile);
-              if (da != db) return da < db;
-              return a.node < b.node;
-            });
-
-  std::vector<NodeId> band;
-  band.reserve(2 * width);
-  const std::size_t succ = std::min<std::size_t>(width, sorted.size());
-  for (std::size_t i = 0; i < succ; ++i) band.push_back(sorted[i].node);
-  // Predecessors: nearest counter-clockwise = largest clockwise distance.
-  for (std::size_t i = 0; i < width && i < sorted.size(); ++i) {
-    const NodeId candidate = sorted[sorted.size() - 1 - i].node;
-    if (std::find(band.begin(), band.end(), candidate) == band.end())
-      band.push_back(candidate);
+  std::vector<NodeId> result;
+  result.reserve(2 * width);
+  for (const RingKey& key : succ) result.push_back(key.node);
+  // A view of fewer than 2·width entries puts some on both sides; those
+  // with a key up to the last successor's are listed there already.
+  for (const RingKey& key : pred) {
+    if (!(succ.back() < key)) break;
+    result.push_back(key.node);
   }
-  return band;
+  return result;
 }
 
 void Vicinity::step(NodeId self) {
-  stepImpl(self, rng_, transport_, requestScratch_, mergePoolScratch_);
+  stepImpl(self, rng_, transport_, requestScratch_, poolScratch_, band_);
 }
 
 void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
                         net::Message& requestScratch,
-                        std::vector<PeerDescriptor>& poolScratch) {
+                        std::vector<PeerDescriptor>& pool, RingBand& band) {
   View& v = views_[self];
   ++stepCount_[self];
 
@@ -222,14 +179,14 @@ void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
   request.kind = net::MessageKind::VicinityRequest;
   request.channel = params_.channel;
   request.from = self;
-  offerInto(self, q, profile_(q), poolScratch, request.entries);
+  offerInto(self, q, profileOf(q), pool, band, request.entries);
   pendingTarget_[self] = q;
   transport.send(q, std::move(request));
 }
 
 void Vicinity::offerInto(NodeId self, NodeId target,
                          SequenceId targetProfile,
-                         std::vector<PeerDescriptor>& pool,
+                         std::vector<PeerDescriptor>& pool, RingBand& band,
                          std::vector<PeerDescriptor>& out) const {
   // Candidates are pooled in `pool` (a long-lived scratch) and only the
   // trimmed band is copied into `out`. Message buffers circulate through
@@ -238,31 +195,42 @@ void Vicinity::offerInto(NodeId self, NodeId target,
   // lengths' worth of candidates) out of the message caps every slot at
   // exchangeLength entries instead of ~4x that.
   pool.clear();
-  for (const auto& e : views_[self].entries())
-    if (e.node != target) poolInsert(pool, e);
+  std::uint64_t ownBits = 0;
+  for (const auto& e : views_[self].entries()) {
+    if (e.node == target) continue;
+    pool.push_back(e);
+    ownBits |= nodeBit(e.node);
+  }
+  // Both views are duplicate-free: random-layer entries need checking
+  // against the proximity part only.
+  const std::size_t own = pool.size();
   for (const auto& e : cyclon_.view(self).entries()) {
     if (e.node == target) continue;
     // Translate the random-layer descriptor into this ring's profile
     // space (identity for the default ring; salted for multi-ring).
-    poolInsert(pool, PeerDescriptor{e.node, e.age, profile_(e.node)});
+    poolAdmit(pool, own, ownBits,
+              PeerDescriptor{e.node, e.age, profileOf(e.node)});
   }
-  selectRingBand(targetProfile, pool, params_.exchangeLength - 1);
-  out.assign(pool.begin(), pool.end());
+  out.clear();
+  emitRingBand(targetProfile, pool, own, params_.exchangeLength - 1, band,
+               [&out](const PeerDescriptor& e) { out.push_back(e); });
   // Our own fresh descriptor always travels along: the target must learn
   // about us to ever point a d-link our way.
   out.push_back(selfDescriptor(self));
 }
 
 void Vicinity::handleRequest(NodeId self, const net::Message& msg) {
-  handleRequestImpl(self, msg, transport_, replyScratch_, mergePoolScratch_);
+  handleRequestImpl(self, msg, transport_, replyScratch_, poolScratch_,
+                    band_);
 }
 
 void Vicinity::handleRequestImpl(NodeId self, const net::Message& msg,
                                  net::Transport& transport,
                                  net::Message& replyScratch,
-                                 std::vector<PeerDescriptor>& poolScratch) {
+                                 std::vector<PeerDescriptor>& pool,
+                                 RingBand& band) {
   // The initiator's descriptor is always in the offer (see offerInto).
-  SequenceId initiatorProfile = profile_(msg.from);
+  SequenceId initiatorProfile = profileOf(msg.from);
   for (const auto& e : msg.entries)
     if (e.node == msg.from) {
       initiatorProfile = e.profile;
@@ -274,27 +242,30 @@ void Vicinity::handleRequestImpl(NodeId self, const net::Message& msg,
   reply.kind = net::MessageKind::VicinityReply;
   reply.channel = params_.channel;
   reply.from = self;
-  offerInto(self, msg.from, initiatorProfile, poolScratch, reply.entries);
+  offerInto(self, msg.from, initiatorProfile, pool, band, reply.entries);
   transport.send(msg.from, std::move(reply));
 
-  mergeByProximity(self, msg.entries, poolScratch);
+  mergeByProximity(self, msg.entries, pool, band);
 }
 
 void Vicinity::handleReply(NodeId self, const net::Message& msg) {
-  handleReplyImpl(self, msg, mergePoolScratch_);
+  handleReplyImpl(self, msg, poolScratch_, band_);
 }
 
 void Vicinity::handleReplyImpl(NodeId self, const net::Message& msg,
-                               std::vector<PeerDescriptor>& poolScratch) {
+                               std::vector<PeerDescriptor>& pool,
+                               RingBand& band) {
   pendingTarget_[self] = kNoNode;  // partner is alive
-  mergeByProximity(self, msg.entries, poolScratch);
+  mergeByProximity(self, msg.entries, pool, band);
 }
 
-void Vicinity::onShardedAttach(std::uint32_t /*shardCount*/) {}
+void Vicinity::onShardedAttach(std::uint32_t shardCount) {
+  shardBands_.assign(shardCount, band_);
+}
 
 void Vicinity::shardStep(NodeId self, sim::ShardContext& ctx) {
   stepImpl(self, ctx.rng(), ctx.transport(), ctx.messageScratch(),
-           ctx.poolScratch());
+           ctx.poolScratch(), shardBands_[ctx.shard()]);
 }
 
 bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
@@ -303,10 +274,10 @@ bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
   switch (msg.kind) {
     case net::MessageKind::VicinityRequest:
       handleRequestImpl(to, msg, ctx.transport(), ctx.messageScratch(),
-                        ctx.poolScratch());
+                        ctx.poolScratch(), shardBands_[ctx.shard()]);
       return true;
     case net::MessageKind::VicinityReply:
-      handleReplyImpl(to, msg, ctx.poolScratch());
+      handleReplyImpl(to, msg, ctx.poolScratch(), shardBands_[ctx.shard()]);
       return true;
     default:
       return false;
@@ -315,18 +286,27 @@ bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
 
 void Vicinity::mergeByProximity(NodeId self,
                                 std::span<const PeerDescriptor> incoming,
-                                std::vector<PeerDescriptor>& poolScratch) {
+                                std::vector<PeerDescriptor>& pool,
+                                RingBand& band) {
   View& v = views_[self];
-  std::vector<PeerDescriptor>& pool = poolScratch;
   pool.clear();
-  for (const auto& e : v.entries()) poolInsert(pool, e);
+  std::uint64_t bits = 0;
+  for (const auto& e : v.entries()) {
+    pool.push_back(e);
+    bits |= nodeBit(e.node);
+  }
+  const std::size_t viewed = pool.size();
+  // The view is duplicate-free; an offer need not be (it may name a peer
+  // the view holds, and a malformed one may repeat itself), so each
+  // incoming entry is checked against everything pooled before it.
   for (const auto& e : incoming)
-    if (e.node != self && !isBanned(self, e.node)) poolInsert(pool, e);
-
-  selectRingBand(profile_(self), pool, params_.viewLength);
+    if (e.node != self && !isBanned(self, e.node) &&
+        poolAdmit(pool, pool.size(), bits, e))
+      bits |= nodeBit(e.node);
 
   v.clear();
-  for (const auto& e : pool) v.add(e);
+  emitRingBand(profileOf(self), pool, viewed, params_.viewLength, band,
+               [&v](const PeerDescriptor& e) { v.add(e); });
 }
 
 }  // namespace vs07::gossip

@@ -8,6 +8,12 @@
 // candidates from both the vicinity view and the underlying CYCLON view,
 // so fresh random peers keep feeding the proximity selection and the ring
 // can form from any bootstrap topology.
+//
+// Every band an exchange forms comes from gossip/ring_band.hpp's keyed
+// primitive. Ring positions are read from a dense per-node table that the
+// profile function fills once per node (onSpawn) and on every
+// Network::setSeqId (onSeqIdChange), so the exchange makes no indirect
+// call per candidate.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +22,7 @@
 
 #include "common/rng.hpp"
 #include "gossip/cyclon.hpp"
+#include "gossip/ring_band.hpp"
 #include "gossip/view.hpp"
 #include "net/transport.hpp"
 #include "sim/engine.hpp"
@@ -29,6 +36,8 @@ namespace vs07::gossip {
 /// The default uses Network::seqId; the multi-ring extension (§8) derives
 /// per-ring positions by salting the advertised sequence id, and the
 /// domain-ring extension encodes a domain prefix into the high bits.
+/// Called once per node at spawn and again when the node's sequence id
+/// changes: it must be a pure function of the node's Network attributes.
 using ProfileFn = std::function<SequenceId(NodeId)>;
 
 /// The resolved deterministic links of one node (its ring neighbours).
@@ -70,8 +79,9 @@ class Vicinity final : public sim::CycleProtocol,
   void step(NodeId self) override;
 
   // sim::ShardedProtocol — the same exchange under the sharded engine
-  // (per-node RNG stream, per-worker scratch). Claims only messages on
-  // this instance's channel, so multi-ring dispatch works unchanged.
+  // (per-node RNG stream, per-worker scratch, a band selector per shard).
+  // Claims only messages on this instance's channel, so multi-ring
+  // dispatch works unchanged.
   void onShardedAttach(std::uint32_t shardCount) override;
   void shardStep(NodeId self, sim::ShardContext& ctx) override;
   bool shardDeliver(NodeId to, const net::Message& msg,
@@ -82,10 +92,12 @@ class Vicinity final : public sim::CycleProtocol,
   // paper's Fig. 13 warm-up discussion).
   void onJoin(NodeId node, NodeId introducer) override;
 
-  // sim::MembershipObserver
+  // sim::MembershipObserver — onSpawn and onSeqIdChange (re)compute the
+  // node's ring position from the profile function.
   void onReserve(NodeId count) override;
   void onSpawn(NodeId node) override;
   void onKill(NodeId node) override;
+  void onSeqIdChange(NodeId node) override;
 
   /// The node's proximity view (closest known peers by ring distance).
   const View& view(NodeId node) const;
@@ -96,14 +108,17 @@ class Vicinity final : public sim::CycleProtocol,
   RingNeighbors ringNeighbors(NodeId node) const;
 
   /// The node's `width` nearest known successors plus `width` nearest
-  /// known predecessors (deduplicated, nearest first per direction). At
-  /// convergence this is the circulant band C(1..width) — forwarding
-  /// across it realises the §8 "Harary graphs of higher connectivity"
-  /// extension: the d-link graph becomes H(2·width, n).
+  /// known predecessors on the band key (deduplicated, nearest first per
+  /// direction). At convergence this is the circulant band C(1..width) —
+  /// forwarding across it realises the §8 "Harary graphs of higher
+  /// connectivity" extension: the d-link graph becomes H(2·width, n).
   std::vector<NodeId> ringBand(NodeId node, std::uint32_t width) const;
 
   /// Ring position of a node under this instance's profile function.
-  SequenceId profileOf(NodeId node) const { return profile_(node); }
+  SequenceId profileOf(NodeId node) const {
+    VS07_EXPECT(node < profiles_.size());
+    return profiles_[node];
+  }
 
   const Params& params() const noexcept { return params_; }
 
@@ -114,33 +129,33 @@ class Vicinity final : public sim::CycleProtocol,
   /// Step/handler bodies parameterized on RNG and scratch: the sequential
   /// paths pass the instance members (bit-for-bit the historical
   /// behaviour), the sharded paths pass the worker's ShardContext
-  /// resources.
+  /// resources and the shard's band selector.
   void stepImpl(NodeId self, Rng& rng, net::Transport& transport,
                 net::Message& requestScratch,
-                std::vector<PeerDescriptor>& poolScratch);
+                std::vector<PeerDescriptor>& pool, RingBand& band);
   void handleRequestImpl(NodeId self, const net::Message& msg,
                          net::Transport& transport,
                          net::Message& replyScratch,
-                         std::vector<PeerDescriptor>& poolScratch);
+                         std::vector<PeerDescriptor>& pool, RingBand& band);
   void handleReplyImpl(NodeId self, const net::Message& msg,
-                       std::vector<PeerDescriptor>& poolScratch);
+                       std::vector<PeerDescriptor>& pool, RingBand& band);
 
   /// Candidates = own vicinity view ∪ own cyclon view ∪ self descriptor,
-  /// deduplicated, excluding `target`; the best `exchangeLength` for the
-  /// *target's* profile fill `out` (best-for-target selection). The
-  /// pre-trim pool is assembled in `pool` (long-lived scratch) so `out` —
-  /// typically a message's entries, whose capacity is retained by every
+  /// deduplicated, excluding `target`; the band of `exchangeLength - 1`
+  /// around the *target's* profile, then self, fill `out` (best-for-target
+  /// selection). The pre-trim pool is assembled in `pool` so `out`
+  /// — typically a message's entries, whose capacity is retained by every
   /// outbox slot it circulates through — never holds more than the
   /// trimmed offer. Both are cleared first; steady state allocates
   /// nothing.
   void offerInto(NodeId self, NodeId target, SequenceId targetProfile,
-                 std::vector<PeerDescriptor>& pool,
+                 std::vector<PeerDescriptor>& pool, RingBand& band,
                  std::vector<PeerDescriptor>& out) const;
 
-  /// Keeps the `viewLength` closest candidates to self among view ∪
-  /// incoming, assembling them in `poolScratch`.
+  /// Keeps the `viewLength` band around self among view ∪ incoming
+  /// (deduplicated, banned peers skipped).
   void mergeByProximity(NodeId self, std::span<const PeerDescriptor> incoming,
-                        std::vector<PeerDescriptor>& poolScratch);
+                        std::vector<PeerDescriptor>& pool, RingBand& band);
 
   PeerDescriptor selfDescriptor(NodeId node) const;
 
@@ -150,6 +165,9 @@ class Vicinity final : public sim::CycleProtocol,
   Params params_;
   Rng rng_;
   ProfileFn profile_;
+  /// profile_(node) for every node, kept current by onSpawn and
+  /// onSeqIdChange: the exchange reads ring positions here.
+  std::vector<SequenceId> profiles_;
   std::vector<View> views_;
   /// Target of each node's outstanding request; a target that never
   /// replies by the next step is treated as failed and dropped from the
@@ -167,13 +185,17 @@ class Vicinity final : public sim::CycleProtocol,
   std::vector<std::uint64_t> stepCount_;
 
   /// Exchange scratch (one set per ring instance, not per exchange):
-  /// request/reply messages and the proximity-merge candidate pool are
+  /// request/reply messages, the candidate pool and the band selector are
   /// reset and refilled each exchange, recycling their buffers. Safe
-  /// under the single-threaded exchange chains: the merge pool is never
-  /// live across a nested send of the same instance.
+  /// under the single-threaded exchange chains: neither pool nor selector
+  /// is live across a nested send of the same instance.
   net::Message requestScratch_;
   net::Message replyScratch_;
-  std::vector<PeerDescriptor> mergePoolScratch_;
+  std::vector<PeerDescriptor> poolScratch_;
+  RingBand band_;
+  /// The sharded engine's band selectors, one per shard (sized in
+  /// onShardedAttach; each worker touches only its own).
+  std::vector<RingBand> shardBands_;
 };
 
 }  // namespace vs07::gossip

@@ -21,6 +21,7 @@ NodeId Network::randomAlive(Rng& rng) const {
 void Network::setSeqId(NodeId node, SequenceId id) {
   VS07_EXPECT(node < seqIds_.size());
   seqIds_[node] = id;
+  for (auto* obs : observers_) obs->onSeqIdChange(node);
 }
 
 NodeId Network::spawn(std::uint64_t atCycle) {

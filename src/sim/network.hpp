@@ -12,7 +12,7 @@
 // of the spawn/kill history, so identically seeded runs iterate the
 // alive set identically (the determinism suites depend on this).
 // Observers are notified in registration order, synchronously inside
-// spawn()/kill().
+// spawn()/kill()/setSeqId().
 #pragma once
 
 #include <cstdint>
@@ -49,6 +49,10 @@ class MembershipObserver {
   virtual void onSpawn(NodeId node) = 0;
   /// A node died (catastrophic failure or churn removal).
   virtual void onKill(NodeId node) = 0;
+  /// A node's sequence id was overwritten (Network::setSeqId). Observers
+  /// that cache a ring position derived from it refresh it here; the
+  /// network already holds the new id. Default: no-op.
+  virtual void onSeqIdChange(NodeId node) { (void)node; }
 };
 
 /// The simulated population. Single-threaded by design (the cycle model
@@ -86,8 +90,11 @@ class Network {
     VS07_EXPECT(node < seqIds_.size());
     return seqIds_[node];
   }
-  /// Overrides a node's sequence id (domain-ring extension). Must be done
-  /// before protocols copy the profile into views.
+  /// Overrides a node's sequence id (domain-ring extension) and tells
+  /// every observer through onSeqIdChange, so protocols that cache ring
+  /// positions follow. Descriptors already copied into views keep the
+  /// old profile until gossip replaces them: rewrite ids before warm-up
+  /// for a ring that forms in the new order from the start.
   void setSeqId(NodeId node, SequenceId id);
 
   /// Cycle at which the node joined.

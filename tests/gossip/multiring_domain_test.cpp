@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <set>
 
 #include "analysis/graph_analysis.hpp"
@@ -62,6 +64,42 @@ TEST(MultiRing, NeighborSetsDifferAcrossRings) {
   // Independent random orders: almost all nodes have different
   // successors on the two rings.
   EXPECT_GT(distinctNeighbors, 140u);
+}
+
+TEST(MultiRing, ProfilesFollowSetSeqIdAfterBuild) {
+  // Rewriting sequence ids after the protocols registered (the domain
+  // ring's set-up) must move every ring: ring 0 reads the new id, ring 1
+  // the new id under its salt, and gossip converges in the new orders.
+  constexpr std::uint32_t kNodes = 150;
+  auto stack = ringsStack(kNodes, 2, /*warm=*/false);
+  auto& network = stack.network();
+  const std::uint64_t ring1Salt = mix64(0x52494E47ULL + 1);  // multiring.cpp
+  Rng rng(77);
+  for (NodeId id = 0; id < kNodes; ++id) network.setSeqId(id, rng());
+
+  const std::array<std::function<SequenceId(NodeId)>, 2> position{
+      [&](NodeId n) { return network.seqId(n); },
+      [&](NodeId n) { return mix64(network.seqId(n) ^ ring1Salt); }};
+  for (std::uint32_t r = 0; r < 2; ++r)
+    for (NodeId id = 0; id < kNodes; ++id)
+      ASSERT_EQ(stack.rings().ring(r).profileOf(id), position[r](id))
+          << "ring " << r << " node " << id;
+
+  stack.warmup();
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    // Ground truth from the new ids, not from profileOf.
+    std::vector<NodeId> order(network.aliveIds());
+    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return position[r](a) < position[r](b);
+    });
+    std::uint32_t correct = 0;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const auto links = stack.rings().ring(r).ringNeighbors(order[i]);
+      correct += links.successor == order[(i + 1) % kNodes] &&
+                 links.predecessor == order[(i + kNodes - 1) % kNodes];
+    }
+    EXPECT_GE(correct, kNodes * 97 / 100) << "ring " << r;
+  }
 }
 
 TEST(MultiRing, RingCountLimits) {
