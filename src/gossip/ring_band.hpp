@@ -113,9 +113,9 @@ class RingBand {
   template <class Nearer>
   static void keepNearest(RingKey* buf, std::size_t& size, std::size_t cap,
                           const RingKey& key, Nearer nearer) noexcept {
-    std::size_t i;
+    std::size_t i = size;
     if (size < cap)
-      i = size++;
+      ++size;
     else if (cap != 0 && nearer(key, buf[cap - 1]))
       i = cap - 1;
     else
