@@ -1,7 +1,5 @@
 #include "analysis/scenario.hpp"
 
-#include <utility>
-
 #include "common/expect.hpp"
 #include "sim/bootstrap.hpp"
 #include "sim/failures.hpp"
@@ -64,13 +62,11 @@ struct Scenario::Core {
         killRng(mix64(c.seed ^ 0xFA11EDULL)) {
     if (model) latency->setNetworkModel(model.get());
     if (c.engineThreads >= 1) {
+      // ShardedEngine enforces its own timing rules; link conditions are
+      // a Scenario concern (they resolve on the sequential transport).
       VS07_EXPECT(!c.network.any() &&
                   "the sharded engine runs without link-level network "
                   "conditions");
-      VS07_EXPECT((c.timing.mode == sim::TimingMode::kJitteredPeriodic ||
-                   c.timing.latency.kind == sim::LatencyModel::Kind::kNone) &&
-                  "sharded CycleSync is latency-free; use jittered timing "
-                  "for latency models");
       sharded = std::make_unique<sim::ShardedEngine>(
           network, mix64(c.seed ^ 0x73686172ULL),  // "shar"
           c.engineThreads, c.timing);
@@ -381,17 +377,12 @@ ScenarioBuilder& ScenarioBuilder::latency(sim::LatencyModel model) {
   config_.timing.latency = model;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::network(sim::NetworkConditions conditions) {
-  config_.network = std::move(conditions);
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::linkLoss(double lossRate) {
   VS07_EXPECT(lossRate >= 0.0 && lossRate <= 1.0);
   config_.network.lossRate = lossRate;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::burstLoss(
-    sim::GilbertElliottLink::Params params) {
+ScenarioBuilder& ScenarioBuilder::burstLoss(sim::BurstLoss params) {
   config_.network.burstLoss = true;
   config_.network.burst = params;
   return *this;

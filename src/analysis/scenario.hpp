@@ -301,13 +301,10 @@ class ScenarioBuilder {
   //    with a NetworkModel attached; they compose freely with each
   //    other and with either timing mode. ------------------------------
 
-  /// Wholesale replacement of the accumulated network conditions.
-  ScenarioBuilder& network(sim::NetworkConditions conditions);
   /// Per-crossing Bernoulli loss on every link.
   ScenarioBuilder& linkLoss(double lossRate);
   /// Bursty Gilbert-Elliott loss (per-directed-link Markov chains).
-  ScenarioBuilder& burstLoss(
-      sim::GilbertElliottLink::Params params = {});
+  ScenarioBuilder& burstLoss(sim::BurstLoss params = {});
   /// Per-crossing duplication probability.
   ScenarioBuilder& duplication(double rate);
   /// Per-crossing reordering: probability of 1..maxExtraTicks jitter.
@@ -320,10 +317,11 @@ class ScenarioBuilder {
                                   sim::LatencyModel inter);
   /// Per-node egress bandwidth cap in messages per tick (FIFO queueing).
   ScenarioBuilder& egressCap(std::uint32_t messagesPerTick);
-  /// Engages the link chain and bandwidth cap only from engine cycle
-  /// `cycle` on (links are clean before it) — the §7 methodology knob:
-  /// self-organise undisturbed, then degrade. Partition windows keep
-  /// their own schedule; cluster latency is never gated.
+  /// Engages loss, burst loss, duplication, reordering and the egress cap
+  /// only from engine cycle `cycle` on (links are clean before it) — the
+  /// §7 methodology knob: self-organise undisturbed, then degrade.
+  /// Partition windows keep their own schedule; cluster latency is never
+  /// gated.
   ScenarioBuilder& conditionsFromCycle(std::uint64_t cycle);
   /// Splits the ring into `groups` seq-contiguous segments, blacked out
   /// over engine cycles [startCycle, endCycle) and healed outside; a

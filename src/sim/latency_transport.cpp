@@ -11,9 +11,8 @@ LatencyTransport::LatencyTransport(Engine& engine, net::DeliverySink& sink,
 void LatencyTransport::send(NodeId to, net::Message&& msg) {
   countSend();
   if (model_ == nullptr) {
-    ++inFlight_;
     engine_.scheduleMessageDelivery(latency_.draw(rng_), to, std::move(msg),
-                                    counting_);
+                                    sink_);
     return;
   }
   const NodeId src = msg.from;
@@ -33,11 +32,9 @@ void LatencyTransport::send(NodeId to, net::Message&& msg) {
   // queue events (the receiver counts them as redundant deliveries).
   for (std::uint32_t c = 1; c < fate.copies; ++c) {
     net::Message copy = msg;
-    ++inFlight_;
-    engine_.scheduleMessageDelivery(delay, to, std::move(copy), counting_);
+    engine_.scheduleMessageDelivery(delay, to, std::move(copy), sink_);
   }
-  ++inFlight_;
-  engine_.scheduleMessageDelivery(delay, to, std::move(msg), counting_);
+  engine_.scheduleMessageDelivery(delay, to, std::move(msg), sink_);
 }
 
 }  // namespace vs07::sim

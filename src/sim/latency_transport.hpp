@@ -29,8 +29,9 @@
 
 namespace vs07::sim {
 
-/// net::Transport whose deliveries are events on an Engine's queue.
-/// Non-owning: engine and sink must outlive the transport.
+/// net::Transport whose deliveries are events on an Engine's queue
+/// (Engine::pendingDeliveries() counts what is in flight). Non-owning:
+/// engine and sink must outlive the transport.
 class LatencyTransport final : public net::Transport {
  public:
   LatencyTransport(Engine& engine, net::DeliverySink& sink,
@@ -51,29 +52,12 @@ class LatencyTransport final : public net::Transport {
   void setNetworkModel(NetworkModel* model) noexcept { model_ = model; }
   NetworkModel* networkModel() const noexcept { return model_; }
 
-  /// Messages scheduled on the engine but not yet delivered (counts this
-  /// transport's traffic only).
-  std::size_t inFlight() const noexcept { return inFlight_; }
-
  private:
-  /// Inner sink the engine delivers to: maintains the in-flight counter,
-  /// then forwards to the downstream sink.
-  struct CountingSink final : net::DeliverySink {
-    explicit CountingSink(LatencyTransport& owner) : owner(owner) {}
-    void deliver(NodeId to, net::Message&& msg) override {
-      --owner.inFlight_;
-      owner.sink_.deliver(to, std::move(msg));
-    }
-    LatencyTransport& owner;
-  };
-
   Engine& engine_;
   net::DeliverySink& sink_;
-  CountingSink counting_{*this};
   LatencyModel latency_;
   Rng rng_;
   NetworkModel* model_ = nullptr;
-  std::size_t inFlight_ = 0;
 };
 
 }  // namespace vs07::sim

@@ -5,24 +5,6 @@
 
 namespace vs07::sim {
 
-// -- GilbertElliottLink --------------------------------------------------
-
-void GilbertElliottLink::apply(NodeId src, NodeId dst, std::uint64_t /*tick*/,
-                               LinkFate& fate, Rng& rng) {
-  if (fate.copies == 0) return;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(src) << 32) | static_cast<std::uint64_t>(dst);
-  auto [it, fresh] = bad_.try_emplace(key, 0);
-  (void)fresh;  // fresh links start Good and advance like any other
-  // Advance the chain once per crossing (event-driven: idle links keep
-  // their state, which only matters relative to their own traffic).
-  const bool wasBad = it->second != 0;
-  const double flip = wasBad ? params_.pBadToGood : params_.pGoodToBad;
-  if (rng.chance(flip)) it->second = wasBad ? 0 : 1;
-  const double loss = it->second != 0 ? params_.lossBad : params_.lossGood;
-  if (rng.chance(loss)) fate.copies = 0;
-}
-
 // -- ring helpers --------------------------------------------------------
 
 std::vector<NodeId> ringOrder(const Network& network) {
@@ -111,61 +93,50 @@ std::vector<NodeId> PartitionSchedule::members(std::uint32_t group) const {
 NetworkModel::NetworkModel(const NetworkConditions& conditions,
                            const Network& network,
                            std::uint32_t ticksPerCycle, std::uint64_t seed)
-    : rng_(seed),
+    : conditions_(conditions),
+      rng_(seed),
       activeFromTick_(conditions.startCycle * ticksPerCycle) {
   VS07_EXPECT(ticksPerCycle >= 1);
-  if (conditions.lossRate > 0.0)
-    addLink(std::make_unique<BernoulliLossLink>(conditions.lossRate));
-  if (conditions.burstLoss)
-    addLink(std::make_unique<GilbertElliottLink>(conditions.burst));
-  if (conditions.duplicateRate > 0.0)
-    addLink(std::make_unique<DuplicateLink>(conditions.duplicateRate));
-  if (conditions.reorderRate > 0.0)
-    addLink(std::make_unique<ReorderLink>(conditions.reorderRate,
-                                          conditions.reorderMaxTicks));
-  clusters_ = conditions.clusterLatency;
-  bandwidth_ = conditions.bandwidth;
+  VS07_EXPECT(conditions.lossRate >= 0.0 && conditions.lossRate <= 1.0);
+  VS07_EXPECT(conditions.duplicateRate >= 0.0 &&
+              conditions.duplicateRate <= 1.0);
+  VS07_EXPECT(conditions.reorderRate >= 0.0 && conditions.reorderRate <= 1.0);
+  VS07_EXPECT(conditions.reorderRate == 0.0 ||
+              conditions.reorderMaxTicks >= 1);
   using Kind = NetworkConditions::PartitionPlan::Kind;
-  if (conditions.partition.kind != Kind::kNone) {
-    PartitionSchedule schedule =
-        conditions.partition.kind == Kind::kRingArc
-            ? PartitionSchedule::splitRingArc(
-                  network, conditions.partition.arcFraction, rng_)
-            : PartitionSchedule::splitRing(network,
-                                           conditions.partition.groups);
-    for (const auto& [startCycle, endCycle] :
-         conditions.partition.windowsCycles)
-      schedule.addWindow(startCycle * ticksPerCycle,
-                         endCycle * ticksPerCycle);
-    setPartitions(std::move(schedule));
+  const auto& plan = conditions.partition;
+  if (plan.kind != Kind::kNone) {
+    partitions_ = plan.kind == Kind::kRingArc
+                      ? PartitionSchedule::splitRingArc(
+                            network, plan.arcFraction, rng_)
+                      : PartitionSchedule::splitRing(network, plan.groups);
+    for (const auto& [startCycle, endCycle] : plan.windowsCycles)
+      partitions_->addWindow(startCycle * ticksPerCycle,
+                             endCycle * ticksPerCycle);
   }
-  reserveNodes(network.totalCreated());
-}
-
-void NetworkModel::addLink(std::unique_ptr<LinkModel> link) {
-  VS07_EXPECT(link != nullptr);
-  chain_.push_back(std::move(link));
-}
-
-void NetworkModel::setPartitions(PartitionSchedule schedule) {
-  partitions_ = std::move(schedule);
-  hasPartitions_ = true;
-}
-
-void NetworkModel::reserveNodes(std::uint32_t totalNodes) {
-  if (bandwidth_.messagesPerTick == 0) return;
-  if (nextEgressSlot_.size() < totalNodes) nextEgressSlot_.resize(totalNodes, 0);
+  // Sized up front so steady-state sends never grow it (the zero-alloc
+  // contract); churn joiners born later grow it on their first send.
+  if (conditions.bandwidth.messagesPerTick > 0)
+    nextEgressSlot_.assign(network.totalCreated(), 0);
 }
 
 LinkFate NetworkModel::resolve(NodeId src, NodeId dst, std::uint64_t tick) {
   LinkFate fate;
-  if (hasPartitions_ && partitions_.blocks(src, dst, tick)) {
+  if (partitions_ && partitions_->blocks(src, dst, tick)) {
     ++droppedByPartition_;
     fate.copies = 0;
     return fate;
   }
   if (tick < activeFromTick_) return fate;  // links clean before startCycle
-  for (const auto& link : chain_) link->apply(src, dst, tick, fate, rng_);
+  const NetworkConditions& c = conditions_;
+  if (c.lossRate > 0.0 && rng_.chance(c.lossRate)) fate.copies = 0;
+  if (fate.copies != 0 && c.burstLoss && burstDrops(src, dst))
+    fate.copies = 0;
+  if (fate.copies != 0 && c.duplicateRate > 0.0 &&
+      rng_.chance(c.duplicateRate))
+    ++fate.copies;
+  if (fate.copies != 0 && c.reorderRate > 0.0 && rng_.chance(c.reorderRate))
+    fate.extraDelayTicks += 1 + rng_.below(c.reorderMaxTicks);
   if (fate.copies == 0) {
     ++droppedByLoss_;
   } else {
@@ -175,16 +146,29 @@ LinkFate NetworkModel::resolve(NodeId src, NodeId dst, std::uint64_t tick) {
   return fate;
 }
 
+bool NetworkModel::burstDrops(NodeId src, NodeId dst) {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(src) << 32) | static_cast<std::uint64_t>(dst);
+  // Fresh links start Good. The chain advances once per crossing
+  // (event-driven: idle links keep their state, which only matters
+  // relative to their own traffic).
+  std::uint8_t& bad = burstBad_[key];
+  const BurstLoss& p = conditions_.burst;
+  if (rng_.chance(bad != 0 ? p.pBadToGood : p.pGoodToBad)) bad ^= 1;
+  return rng_.chance(bad != 0 ? p.lossBad : p.lossGood);
+}
+
 std::uint64_t NetworkModel::latencyTicks(NodeId src, NodeId dst,
                                          const LatencyModel& fallback,
                                          Rng& rng) {
-  if (clusters_.clusters == 0) return fallback.draw(rng);
-  return clusterOf(src) == clusterOf(dst) ? clusters_.intra.draw(rng)
-                                          : clusters_.inter.draw(rng);
+  const ClusterLatency& clusters = conditions_.clusterLatency;
+  if (clusters.clusters == 0) return fallback.draw(rng);
+  return clusterOf(src) == clusterOf(dst) ? clusters.intra.draw(rng)
+                                          : clusters.inter.draw(rng);
 }
 
 std::uint64_t NetworkModel::egressDelay(NodeId src, std::uint64_t tick) {
-  const std::uint32_t budget = bandwidth_.messagesPerTick;
+  const std::uint32_t budget = conditions_.bandwidth.messagesPerTick;
   if (budget == 0 || tick < activeFromTick_) return 0;
   if (src >= nextEgressSlot_.size()) nextEgressSlot_.resize(src + 1, 0);
   // Absolute slot arithmetic: tick t offers `budget` departure slots
@@ -203,8 +187,9 @@ std::uint64_t NetworkModel::egressDelay(NodeId src, std::uint64_t tick) {
 }
 
 std::uint32_t NetworkModel::clusterOf(NodeId node) const noexcept {
-  if (clusters_.clusters == 0) return 0;
-  return static_cast<std::uint32_t>(mix64(node) % clusters_.clusters);
+  const std::uint32_t clusters = conditions_.clusterLatency.clusters;
+  if (clusters == 0) return 0;
+  return static_cast<std::uint32_t>(mix64(node) % clusters);
 }
 
 }  // namespace vs07::sim

@@ -6,7 +6,6 @@
 // conditions are bit-identical for any thread count.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "analysis/scenario.hpp"
@@ -195,28 +194,30 @@ TEST(ScenarioNetwork, PresetsConstructAndBehave) {
 }
 
 TEST(ScenarioNetwork, CleanLinksSteadyStateIsAllocationFree) {
-  // The full condition chain armed at no-op rates (a 0-rate Bernoulli
-  // link, 0-rate duplication and reordering), a generous egress cap,
-  // and a partition schedule — every per-send query runs, yet loss-free
-  // links must not cost a single steady-state allocation, exactly the
-  // contract the model-less hot path keeps. (Cluster latency is armed
-  // in other tests: multi-tick in-flight buffers warm the message pool
+  // Loss, duplication and reordering armed at 1e-12 (a draw on every
+  // send that never fires), a generous egress cap, and a partition
+  // schedule — every per-send query runs, yet loss-free links must not
+  // cost a single steady-state allocation, exactly the contract the
+  // model-less hot path keeps. (Cluster latency is armed in other
+  // tests: multi-tick in-flight buffers warm the message pool
   // gradually, which is latency-path warm-up, not model overhead.)
+  constexpr double kNever = 1e-12;
   auto scenario = Scenario::builder()
                       .nodes(300)
                       .warmupCycles(30)
                       .seed(21)
+                      .linkLoss(kNever)
+                      .duplication(kNever)
+                      .reordering(kNever, 3)
                       .egressCap(64)
                       .partitionRingSplit(2, 35, 60)
                       .build();
   auto* model = scenario.networkModel();
   ASSERT_NE(model, nullptr);
-  model->addLink(std::make_unique<sim::BernoulliLossLink>(0.0));
-  model->addLink(std::make_unique<sim::DuplicateLink>(0.0));
-  model->addLink(std::make_unique<sim::ReorderLink>(0.0, 3));
 
-  // Clean phase: chain draws, partition lookups (inactive window), and
-  // egress accounting run on every send — and nothing may allocate.
+  // Clean phase: loss, duplication and reorder draws, partition lookups
+  // (inactive window), and egress accounting run on every send — and
+  // nothing may allocate.
   scenario.runCycles(2);
   {
     AllocScope probe;
@@ -224,6 +225,9 @@ TEST(ScenarioNetwork, CleanLinksSteadyStateIsAllocationFree) {
     EXPECT_EQ(probe.allocations(), 0u)
         << "clean-link sends must not allocate in steady state";
   }
+  EXPECT_EQ(model->droppedByLoss(), 0u);
+  EXPECT_EQ(model->duplicated(), 0u);
+  EXPECT_EQ(model->reordered(), 0u);
   // Split phase: drops happen; gossip's *failure handling* (VICINITY
   // ban-list growth) may allocate, which is the failure path, not the
   // clean-link contract — so only the drop accounting is asserted here.

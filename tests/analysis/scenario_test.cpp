@@ -55,6 +55,25 @@ TEST(ScenarioBuilder, InvalidKnobsRejected) {
       ContractViolation);
 }
 
+TEST(ScenarioBuilder, ShardedBuildsRejectWhatTheEngineCannotRun) {
+  // Link conditions resolve on the sequential engine's transport only.
+  EXPECT_THROW(Scenario::builder()
+                   .nodes(20)
+                   .noWarmup()
+                   .engineThreads(2)
+                   .linkLoss(0.1)
+                   .build(),
+               ContractViolation);
+  // Sharded CycleSync is latency-free.
+  EXPECT_THROW(Scenario::builder()
+                   .nodes(20)
+                   .noWarmup()
+                   .engineThreads(2)
+                   .latency(sim::LatencyModel::fixed(1))
+                   .build(),
+               ContractViolation);
+}
+
 TEST(ScenarioBuilder, ChurnInstalledAtBuildReplacesNodes) {
   auto scenario =
       Scenario::builder().nodes(200).seed(3).churn(0.05).build();

@@ -61,7 +61,7 @@ TEST(LatencyTransport, SendsFromDeliveryHandlerAreNotLost) {
   ASSERT_EQ(chain.sink.delivered.size(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i)
     EXPECT_EQ(chain.sink.delivered[i].first, i + 1);
-  EXPECT_EQ(chain.transport.inFlight(), 0u);
+  EXPECT_EQ(chain.engine.pendingDeliveries(), 0u);
 }
 
 TEST(LatencyTransport, ReentrantSendsRespectLatency) {
@@ -84,11 +84,12 @@ TEST(LatencyTransport, ReentrantSendsRespectLatency) {
 TEST(LatencyTransport, RandomLatencyReentrantChainRunsToCompletion) {
   Chain chain(sim::LatencyModel::uniform(1, 3), /*lastId=*/50);
   chain.transport.send(1, dataMessage(1));
-  for (int cycle = 0; cycle < 500 && chain.transport.inFlight() > 0; ++cycle)
+  for (int cycle = 0; cycle < 500 && chain.engine.pendingDeliveries() > 0;
+       ++cycle)
     chain.engine.run(1);
   const auto& delivered = chain.sink.delivered;
   ASSERT_EQ(delivered.size(), 50u);
-  EXPECT_EQ(chain.transport.inFlight(), 0u);
+  EXPECT_EQ(chain.engine.pendingDeliveries(), 0u);
   for (std::size_t i = 1; i < delivered.size(); ++i) {
     const std::uint64_t gap = delivered[i].second - delivered[i - 1].second;
     EXPECT_GE(gap, 1u);  // every hop keeps its drawn latency

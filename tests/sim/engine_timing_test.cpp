@@ -221,12 +221,12 @@ TEST(EngineTiming, LatencyTransportDeliversThroughTheEngineQueue) {
   msg.from = 0;
   msg.dataId = 7;
   transport.send(2, std::move(msg));
-  EXPECT_EQ(transport.inFlight(), 1u);
+  EXPECT_EQ(engine.pendingDeliveries(), 1u);
   EXPECT_TRUE(deliveries.empty());
   engine.run(1);  // 4 ticks > 2-tick latency
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries[0], (std::pair<NodeId, std::uint64_t>{2, 7}));
-  EXPECT_EQ(transport.inFlight(), 0u);
+  EXPECT_EQ(engine.pendingDeliveries(), 0u);
 }
 
 TEST(EngineTiming, LatencyModelValidatesItsParameters) {

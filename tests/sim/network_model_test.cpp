@@ -1,7 +1,7 @@
-// sim/network_model unit suite: the stock LinkModels, the
-// PartitionSchedule (windows, grouping, healing, the §5.1 arc
-// compatibility with sim/failures), cluster latency, and the FIFO
-// egress bandwidth cap.
+// sim/network_model unit suite: each link condition resolved through
+// NetworkModel::resolve, the PartitionSchedule (windows, grouping,
+// healing, the §5.1 arc compatibility with sim/failures), cluster
+// latency, and the FIFO egress bandwidth cap.
 #include "sim/network_model.hpp"
 
 #include <gtest/gtest.h>
@@ -10,56 +10,61 @@
 #include <cmath>
 #include <set>
 
+#include "common/expect.hpp"
 #include "sim/failures.hpp"
 #include "sim/network.hpp"
 
 namespace vs07::sim {
 namespace {
 
-TEST(BernoulliLossLink, DropsAtConfiguredRate) {
-  BernoulliLossLink link(0.25);
-  Rng rng(7);
+/// A model over a small population with `conditions` and no partition.
+struct Harness {
+  explicit Harness(const NetworkConditions& conditions, std::uint64_t seed)
+      : network(8, 3), model(conditions, network, 1, seed) {}
+  Network network;
+  NetworkModel model;
+};
+
+TEST(NetworkModel, LossDropsAtConfiguredRate) {
+  NetworkConditions conditions;
+  conditions.lossRate = 0.25;
+  Harness h(conditions, 7);
   int dropped = 0;
   constexpr int kTrials = 20'000;
-  for (int i = 0; i < kTrials; ++i) {
-    LinkFate fate;
-    link.apply(1, 2, 0, fate, rng);
-    if (fate.copies == 0) ++dropped;
-  }
+  for (int i = 0; i < kTrials; ++i)
+    if (h.model.resolve(1, 2, 0).copies == 0) ++dropped;
   const double rate = static_cast<double>(dropped) / kTrials;
   EXPECT_NEAR(rate, 0.25, 0.02);
+  EXPECT_EQ(h.model.droppedByLoss(), static_cast<std::uint64_t>(dropped));
 }
 
-TEST(BernoulliLossLink, ZeroRateNeverDrops) {
-  BernoulliLossLink link(0.0);
-  Rng rng(7);
+TEST(NetworkModel, CleanLinksNeverDropOrDelay) {
+  Harness h(NetworkConditions{}, 7);
   for (int i = 0; i < 1000; ++i) {
-    LinkFate fate;
-    link.apply(1, 2, 0, fate, rng);
+    const LinkFate fate = h.model.resolve(1, 2, 0);
     EXPECT_EQ(fate.copies, 1u);
     EXPECT_EQ(fate.extraDelayTicks, 0u);
   }
+  EXPECT_EQ(h.model.droppedByLoss(), 0u);
 }
 
-TEST(GilbertElliottLink, LossesClusterInBursts) {
+TEST(NetworkModel, BurstLossesClusterInBursts) {
   // Sticky chain with a lossless Good state and a lossy Bad state: the
   // same overall loss events must arrive in runs, which independent
   // Bernoulli loss at the matched average would not produce.
-  GilbertElliottLink::Params params;
-  params.pGoodToBad = 0.02;
-  params.pBadToGood = 0.2;
-  params.lossGood = 0.0;
-  params.lossBad = 1.0;
-  GilbertElliottLink link(params);
-  Rng rng(11);
+  NetworkConditions conditions;
+  conditions.burstLoss = true;
+  conditions.burst = {.pGoodToBad = 0.02,
+                      .pBadToGood = 0.2,
+                      .lossGood = 0.0,
+                      .lossBad = 1.0};
+  Harness h(conditions, 11);
   constexpr int kTrials = 50'000;
   int losses = 0;
   int bursts = 0;  // maximal runs of consecutive losses
   bool inBurst = false;
   for (int i = 0; i < kTrials; ++i) {
-    LinkFate fate;
-    link.apply(3, 4, 0, fate, rng);
-    const bool lost = fate.copies == 0;
+    const bool lost = h.model.resolve(3, 4, 0).copies == 0;
     losses += lost ? 1 : 0;
     if (lost && !inBurst) ++bursts;
     inBurst = lost;
@@ -68,47 +73,68 @@ TEST(GilbertElliottLink, LossesClusterInBursts) {
   const double meanBurstLength = static_cast<double>(losses) / bursts;
   // Geometric dwell time in Bad: mean run length 1/pBadToGood = 5.
   EXPECT_GT(meanBurstLength, 3.0);
-  EXPECT_EQ(link.trackedLinks(), 1u);
 }
 
-TEST(GilbertElliottLink, LinksHaveIndependentState) {
-  GilbertElliottLink::Params params;
-  params.pGoodToBad = 1.0;  // first crossing flips the link to Bad
-  params.pBadToGood = 0.0;
-  params.lossBad = 1.0;
-  GilbertElliottLink link(params);
-  Rng rng(3);
-  LinkFate fate;
-  link.apply(1, 2, 0, fate, rng);
-  EXPECT_EQ(fate.copies, 0u);
-  // The reverse direction is a distinct chain (asymmetric loss): it also
-  // flips on its own first crossing, tracked separately.
-  link.apply(2, 1, 0, fate = {}, rng);
-  EXPECT_EQ(link.trackedLinks(), 2u);
+TEST(NetworkModel, BurstChainsAreIndependentPerDirection) {
+  // Every crossing flips its link's chain and only the Bad state loses,
+  // so a link loses its first crossing and delivers its second. The
+  // reverse direction is a distinct chain (asymmetric loss): its first
+  // crossing is lost too, whatever the forward link did before it.
+  NetworkConditions conditions;
+  conditions.burstLoss = true;
+  conditions.burst = {.pGoodToBad = 1.0,
+                      .pBadToGood = 1.0,
+                      .lossGood = 0.0,
+                      .lossBad = 1.0};
+  Harness h(conditions, 3);
+  EXPECT_EQ(h.model.resolve(1, 2, 0).copies, 0u);
+  EXPECT_EQ(h.model.resolve(2, 1, 0).copies, 0u);
+  EXPECT_EQ(h.model.resolve(1, 2, 0).copies, 1u);
+  EXPECT_EQ(h.model.resolve(2, 1, 0).copies, 1u);
+  EXPECT_EQ(h.model.droppedByLoss(), 2u);
 }
 
-TEST(DuplicateLink, AddsCopies) {
-  DuplicateLink link(1.0);
-  Rng rng(5);
-  LinkFate fate;
-  link.apply(1, 2, 0, fate, rng);
-  EXPECT_EQ(fate.copies, 2u);
-  // Dropped messages are not resurrected by duplication.
-  LinkFate dead;
-  dead.copies = 0;
-  link.apply(1, 2, 0, dead, rng);
-  EXPECT_EQ(dead.copies, 0u);
+TEST(NetworkModel, DuplicationAddsCopies) {
+  NetworkConditions conditions;
+  conditions.duplicateRate = 1.0;
+  Harness h(conditions, 5);
+  EXPECT_EQ(h.model.resolve(1, 2, 0).copies, 2u);
+  EXPECT_EQ(h.model.duplicated(), 1u);
+  // Lost messages are not resurrected by duplication.
+  conditions.lossRate = 1.0;
+  Harness lossy(conditions, 5);
+  EXPECT_EQ(lossy.model.resolve(1, 2, 0).copies, 0u);
+  EXPECT_EQ(lossy.model.duplicated(), 0u);
 }
 
-TEST(ReorderLink, AddsBoundedDelay) {
-  ReorderLink link(1.0, 4);
-  Rng rng(5);
+TEST(NetworkModel, ReorderingAddsBoundedDelay) {
+  NetworkConditions conditions;
+  conditions.reorderRate = 1.0;
+  conditions.reorderMaxTicks = 4;
+  Harness h(conditions, 5);
   for (int i = 0; i < 200; ++i) {
-    LinkFate fate;
-    link.apply(1, 2, 0, fate, rng);
+    const LinkFate fate = h.model.resolve(1, 2, 0);
     EXPECT_GE(fate.extraDelayTicks, 1u);
     EXPECT_LE(fate.extraDelayTicks, 4u);
   }
+  EXPECT_EQ(h.model.reordered(), 200u);
+}
+
+TEST(NetworkModel, RejectsOutOfRangeConditions) {
+  Network network(4, 2);
+  const auto build = [&network](const NetworkConditions& conditions) {
+    NetworkModel model(conditions, network, 1, 1);
+  };
+  NetworkConditions conditions;
+  conditions.lossRate = 1.5;
+  EXPECT_THROW(build(conditions), ContractViolation);
+  conditions = {};
+  conditions.duplicateRate = -0.1;
+  EXPECT_THROW(build(conditions), ContractViolation);
+  conditions = {};
+  conditions.reorderRate = 0.5;
+  conditions.reorderMaxTicks = 0;
+  EXPECT_THROW(build(conditions), ContractViolation);
 }
 
 TEST(PartitionSchedule, WindowsActivateAndHeal) {
@@ -244,25 +270,28 @@ TEST(BandwidthCap, UnlimitedByDefault) {
 }
 
 TEST(NetworkModel, ResolveAppliesPartitionBeforeLoss) {
+  using Kind = NetworkConditions::PartitionPlan::Kind;
   NetworkConditions conditions;
   conditions.lossRate = 1.0;  // everything the partition spares is lost
+  conditions.partition.kind = Kind::kRingSplit;
+  conditions.partition.groups = 2;
+  conditions.partition.windowsCycles = {{0, 100}};
   Network network(10, 3);
   NetworkModel model(conditions, network, 1, 42);
-  PartitionSchedule schedule = PartitionSchedule::splitRing(network, 2);
-  schedule.addWindow(0, 100);
+  ASSERT_NE(model.partitions(), nullptr);
+  const PartitionSchedule& schedule = *model.partitions();
   const NodeId a = schedule.members(0).front();
   const NodeId b = schedule.members(1).front();
-  model.setPartitions(std::move(schedule));
 
   EXPECT_EQ(model.resolve(a, b, 5).copies, 0u);
   EXPECT_EQ(model.droppedByPartition(), 1u);
   EXPECT_EQ(model.droppedByLoss(), 0u);
-  const NodeId a2 = model.partitions()->members(0).back();
+  const NodeId a2 = schedule.members(0).back();
   EXPECT_EQ(model.resolve(a, a2, 5).copies, 0u);
   EXPECT_EQ(model.droppedByLoss(), 1u);
 }
 
-TEST(NetworkModel, ConditionsBuildTheDescribedChain) {
+TEST(NetworkModel, ConditionsCompose) {
   NetworkConditions conditions;
   conditions.duplicateRate = 1.0;
   conditions.reorderRate = 1.0;
