@@ -100,6 +100,16 @@ void bindPair(std::uint16_t requestedPort, int& udpFd, int& tcpFd,
   throw std::runtime_error("no shared udp+tcp port found");
 }
 
+/// True when every node id `msg` names lies inside the population: the
+/// protocols index per-node state by them, so one id beyond it would
+/// throw inside the router and end the process.
+bool namesOnlyPopulation(const net::Message& msg, std::uint32_t nodeCount) {
+  if (msg.from >= nodeCount) return false;
+  for (const auto& entry : msg.entries)
+    if (entry.node >= nodeCount) return false;
+  return true;
+}
+
 }  // namespace
 
 UdpTransport::UdpTransport(const Config& config, PeerTable& peers,
@@ -401,7 +411,8 @@ void UdpTransport::handleFrame(std::span<const std::uint8_t> bytes,
       peers_.learn(entry.node, entry.addr, AddressSource::kHint);
 
   if (header.kind == FrameKind::kGossip) {
-    if (!frame.hasPayload) {
+    if (!frame.hasPayload ||
+        !namesOnlyPopulation(recvMsg_, peers_.nodeCount())) {
       ++droppedMalformed_;
       return;
     }

@@ -111,6 +111,8 @@ class UdpTransport final : public net::Transport {
   std::uint64_t fallbackSent() const noexcept { return fallbackSent_; }
   std::uint64_t fallbackReceived() const noexcept { return fallbackReceived_; }
   std::uint64_t droppedNoAddress() const noexcept { return droppedNoAddress_; }
+  /// Frames that failed to decode, gossip frames without a payload, and
+  /// payloads naming a node id outside the population.
   std::uint64_t droppedMalformed() const noexcept { return droppedMalformed_; }
   std::uint64_t droppedBacklog() const noexcept { return droppedBacklog_; }
   /// Frames lost to a hard socket error (sendto unreachable/refused, or

@@ -200,6 +200,44 @@ TEST(UdpTransport, MalformedDatagramIsCountedNotFatal) {
   EXPECT_EQ(b->transport.droppedMalformed(), 1u);
 }
 
+TEST(UdpTransport, OutOfPopulationIdsAreDroppedAsMalformed) {
+  // The protocols index per-node state by every id a payload names, so
+  // an id beyond the population must never reach them: one forged
+  // datagram would otherwise end the receiving node's process.
+  auto pair = makePair();
+  SKIP_WITHOUT_SOCKETS(pair);
+  auto& [a, b] = *pair;
+  a->peers.learn(1, b->addr(), AddressSource::kSelf);
+
+  const net::Message forgedFrom = dataMessage(7, 0);
+  net::Message forgedEntry = dataMessage(0, 0);
+  forgedEntry.kind = net::MessageKind::CyclonRequest;
+  forgedEntry.entries = {{1, 0, 0}, {9, 0, 0}};
+  int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_port = htons(b->transport.listenPort());
+  dst.sin_addr.s_addr = htonl(0x7F000001);
+  for (const net::Message& payload : {forgedFrom, forgedEntry}) {
+    std::vector<std::uint8_t> frame;
+    encodeFrame({FrameKind::kGossip, 0, a->transport.listenPort()}, &payload,
+                {}, frame);
+    ASSERT_GT(::sendto(raw, frame.data(), frame.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&dst), sizeof(dst)),
+              0);
+  }
+  ::close(raw);
+  // A valid frame after the forged ones proves the transport keeps
+  // running and that the forged payloads never reached the sink.
+  a->transport.send(1, dataMessage(0, 1));
+  ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
+  ASSERT_EQ(b->sink.received.size(), 1u);
+  EXPECT_EQ(b->sink.received.front().msg.kind, net::MessageKind::Data);
+  EXPECT_EQ(b->sink.received.front().msg.from, 0u);
+  EXPECT_EQ(b->transport.droppedMalformed(), 2u);
+}
+
 TEST(UdpTransport, AnnexHintsCannotRedirectSelfTaughtPeers) {
   // One forged annex entry must not re-point a peer (an eclipse): B's
   // own frame pins B's address, an annex entry naming the receiver is
