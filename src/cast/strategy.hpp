@@ -37,9 +37,4 @@ std::string_view strategyName(Strategy strategy) noexcept;
 /// selector (its push component).
 const TargetSelector& selectorFor(Strategy strategy);
 
-/// True when the strategy's push rule uses deterministic d-links.
-constexpr bool usesDlinks(Strategy strategy) noexcept {
-  return strategy != Strategy::kRandCast;
-}
-
 }  // namespace vs07::cast

@@ -55,8 +55,4 @@ std::uint64_t peakRssBytes() noexcept {
 #endif
 }
 
-std::uint64_t currentRssBytes() noexcept {
-  return procStatusKb("VmRSS") * 1024u;
-}
-
 }  // namespace vs07

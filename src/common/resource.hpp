@@ -14,10 +14,4 @@ namespace vs07 {
 /// control socket.
 std::uint64_t peakRssBytes() noexcept;
 
-/// Current resident set size in bytes (Linux: /proc/self/status VmRSS),
-/// or 0 when unavailable. Long-running node processes report this next
-/// to the peak so steady-state footprint and startup spikes are
-/// distinguishable.
-std::uint64_t currentRssBytes() noexcept;
-
 }  // namespace vs07

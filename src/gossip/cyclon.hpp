@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "gossip/peer_sampling.hpp"
 #include "gossip/view.hpp"
 #include "net/transport.hpp"
 #include "sim/engine.hpp"
@@ -36,7 +35,6 @@ namespace vs07::gossip {
 class Cyclon final : public sim::CycleProtocol,
                      public sim::MembershipObserver,
                      public sim::JoinHandler,
-                     public PeerSamplingService,
                      public sim::ShardedProtocol {
  public:
   struct Params {
@@ -87,8 +85,8 @@ class Cyclon final : public sim::CycleProtocol,
   void onSpawn(NodeId node) override;
   void onKill(NodeId node) override;
 
-  // PeerSamplingService
-  const View& view(NodeId node) const override;
+  /// The node's current partial view of random peers.
+  const View& view(NodeId node) const;
 
   const Params& params() const noexcept { return params_; }
 

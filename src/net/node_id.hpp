@@ -28,16 +28,6 @@ inline constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
 /// Random identifier determining ring order (VICINITY profile).
 using SequenceId = std::uint64_t;
 
-/// Circular distance between two sequence ids on the 2^64 ring:
-/// min(|a-b|, 2^64 - |a-b|). This is the proximity metric RINGCAST's
-/// VICINITY instance optimises.
-constexpr std::uint64_t ringDistance(SequenceId a, SequenceId b) noexcept {
-  const std::uint64_t d = a > b ? a - b : b - a;
-  // 2^64 - d computed in modular arithmetic: 0 - d.
-  const std::uint64_t wrap = 0 - d;
-  return d < wrap ? d : wrap;
-}
-
 /// Clockwise (increasing-id) distance from a to b on the 2^64 ring.
 constexpr std::uint64_t clockwiseDistance(SequenceId a, SequenceId b) noexcept {
   return b - a;  // modular arithmetic does the wrap for us

@@ -56,7 +56,6 @@ void SessionChurnControl::execute(std::uint64_t cycle) {
     admitInitialPopulation(cycle);
     initialized_ = true;
   }
-  lastReplacements_ = 0;
   while (!expiries_.empty() && expiries_.top().atCycle <= cycle) {
     const NodeId victim = expiries_.top().node;
     expiries_.pop();
@@ -64,7 +63,6 @@ void SessionChurnControl::execute(std::uint64_t cycle) {
     if (!network_.isAlive(victim)) continue;
     network_.kill(victim);
     ++removed_;
-    ++lastReplacements_;
 
     const NodeId joiner = network_.spawn(cycle);
     admit(joiner, cycle);

@@ -73,11 +73,6 @@ class SessionChurnControl final : public Control {
 
   std::uint64_t totalRemoved() const noexcept { return removed_; }
 
-  /// Replacements during the most recent cycle (turnover-rate probe).
-  std::uint32_t lastCycleReplacements() const noexcept {
-    return lastReplacements_;
-  }
-
  private:
   void admit(NodeId node, std::uint64_t now);
   void admitInitialPopulation(std::uint64_t now);
@@ -96,7 +91,6 @@ class SessionChurnControl final : public Control {
   };
   std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries_;
   std::uint64_t removed_ = 0;
-  std::uint32_t lastReplacements_ = 0;
 };
 
 }  // namespace vs07::sim
