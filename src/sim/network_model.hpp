@@ -23,15 +23,15 @@
 //     delay (or the absence) of an event on the engine's shared queue —
 //     no per-tick sweeps over links, no per-link queues to drain.
 //
-// The model is one value type: it keeps the NetworkConditions it was
-// built from and resolves each send straight from them. Besides its rng
-// and counters, its mutable state is keyed by sender: the Gilbert-Elliott
-// chain of each directed (src, dst) link, and each sender's next free
-// egress slot. A
-// PartitionSchedule vetoes cross-group traffic during its windows,
+// The model keeps the NetworkConditions value it was built from and
+// resolves each send straight from it: a PartitionSchedule vetoes
+// cross-group traffic during its windows, loss, burst loss, duplication
+// and reordering decide the message's fate (copies, extra delay),
 // ClusterLatency replaces the global latency draw with intra/inter-cluster
 // distributions, and an egress BandwidthCap turns sender overload into
-// FIFO queueing delay.
+// FIFO queueing delay. Besides its rng and counters, its mutable state
+// is keyed by sender: the burst chain of each directed (src, dst) link
+// and each sender's next free egress slot.
 #pragma once
 
 #include <cstdint>
@@ -172,7 +172,11 @@ struct NetworkConditions {
   double lossRate = 0.0;            ///< Bernoulli per-crossing loss
   bool burstLoss = false;           ///< enable Gilbert-Elliott loss
   BurstLoss burst{};
+  /// Chance that a crossing delivers a second copy at the same delay
+  /// (the receiver counts it as a redundant delivery).
   double duplicateRate = 0.0;
+  /// Chance that a crossing picks up 1..reorderMaxTicks ticks of extra
+  /// delay, letting later sends overtake it.
   double reorderRate = 0.0;
   std::uint32_t reorderMaxTicks = 3;
   ClusterLatency clusterLatency{};

@@ -33,8 +33,8 @@
 #include "cast/session.hpp"
 #include "cast/strategy.hpp"
 #include "common/json.hpp"
-#include "gossip/view.hpp"
 #include "harness/golden.hpp"
+#include "harness/view_hash.hpp"
 #include "sim/timing.hpp"
 
 namespace vs07::sim {
@@ -108,32 +108,14 @@ const ConditionCase kCases[] = {
     {"all", all},
 };
 
-/// FNV-1a over 64-bit words.
-std::uint64_t mix(std::uint64_t hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (word >> (8 * byte)) & 0xffu;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t mixView(std::uint64_t hash, const gossip::View& view) {
-  for (const auto& e : view.entries()) {
-    hash = mix(hash, e.node);
-    hash = mix(hash, e.age);
-    hash = mix(hash, e.profile);
-  }
-  return mix(hash, ~0ULL);  // view separator
-}
-
 /// One hash over every node's CYCLON view and each ring's VICINITY view.
 std::string viewHash(const analysis::Scenario& scenario) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = harness::kFnvOffsetBasis;
   const NodeId created = scenario.network().totalCreated();
   for (NodeId n = 0; n < created; ++n) {
-    hash = mixView(hash, scenario.cyclon().view(n));
+    hash = harness::mixView(hash, scenario.cyclon().view(n));
     for (std::uint32_t r = 0; r < scenario.rings().ringCount(); ++r)
-      hash = mixView(hash, scenario.rings().ring(r).view(n));
+      hash = harness::mixView(hash, scenario.rings().ring(r).view(n));
   }
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string hex;

@@ -25,8 +25,8 @@
 #include "analysis/scenario.hpp"
 #include "cast/strategy.hpp"
 #include "common/json.hpp"
-#include "gossip/view.hpp"
 #include "harness/golden.hpp"
+#include "harness/view_hash.hpp"
 #include "sim/timing.hpp"
 
 namespace vs07::sim {
@@ -47,24 +47,6 @@ const ScheduleCase kCases[] = {
      TimingConfig::jitteredLatency(LatencyModel::fixed(12))},
 };
 
-/// FNV-1a over 64-bit words.
-std::uint64_t mix(std::uint64_t hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (word >> (8 * byte)) & 0xffu;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::uint64_t mixView(std::uint64_t hash, const gossip::View& view) {
-  for (const auto& e : view.entries()) {
-    hash = mix(hash, e.node);
-    hash = mix(hash, e.age);
-    hash = mix(hash, e.profile);
-  }
-  return mix(hash, ~0ULL);  // view separator
-}
-
 /// One 8-hex-digit hash per node (CYCLON view, then each ring's VICINITY
 /// view), 16 nodes to a line, so a diverging node is easy to locate.
 Json viewHashes(const analysis::Scenario& scenario) {
@@ -75,10 +57,10 @@ Json viewHashes(const analysis::Scenario& scenario) {
   for (NodeId base = 0; base < created; base += kPerLine) {
     std::string line;
     for (NodeId n = base; n < created && n < base + kPerLine; ++n) {
-      std::uint64_t hash = 0xcbf29ce484222325ULL;
-      hash = mixView(hash, scenario.cyclon().view(n));
+      std::uint64_t hash = harness::kFnvOffsetBasis;
+      hash = harness::mixView(hash, scenario.cyclon().view(n));
       for (std::uint32_t r = 0; r < scenario.rings().ringCount(); ++r)
-        hash = mixView(hash, scenario.rings().ring(r).view(n));
+        hash = harness::mixView(hash, scenario.rings().ring(r).view(n));
       const auto folded = static_cast<std::uint32_t>(hash ^ (hash >> 32));
       if (!line.empty()) line.push_back(' ');
       for (int shift = 28; shift >= 0; shift -= 4)
