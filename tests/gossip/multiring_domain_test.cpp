@@ -10,6 +10,7 @@
 #include "common/expect.hpp"
 #include "gossip/domain_key.hpp"
 #include "gossip/multiring.hpp"
+#include "harness/view_invariants.hpp"
 
 namespace vs07::gossip {
 namespace {
@@ -86,6 +87,7 @@ TEST(MultiRing, ProfilesFollowSetSeqIdAfterBuild) {
           << "ring " << r << " node " << id;
 
   stack.warmup();
+  EXPECT_TRUE(harness::viewsWellFormed(stack));
   for (std::uint32_t r = 0; r < 2; ++r) {
     // Ground truth from the new ids, not from profileOf.
     std::vector<NodeId> order(network.aliveIds());

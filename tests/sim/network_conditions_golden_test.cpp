@@ -35,6 +35,7 @@
 #include "common/json.hpp"
 #include "harness/golden.hpp"
 #include "harness/view_hash.hpp"
+#include "harness/view_invariants.hpp"
 #include "sim/timing.hpp"
 
 namespace vs07::sim {
@@ -157,10 +158,14 @@ Json runCase(const ConditionCase& conditionCase, bool jittered, bool churn) {
                                         .settleCycles = 4,
                                         .digestLength = 8,
                                         .bufferCapacity = 16});
+  EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "after warm-up";
   Json publishes = Json::array();
-  for (int i = 0; i < 6; ++i)
+  for (int i = 0; i < 6; ++i) {
     publishes.push(reportLine(session.publishFromRandom()));
+    EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "after publish " << i;
+  }
   scenario.runCycles(6);
+  EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "at the end";
 
   const NetworkModel& model = *scenario.networkModel();
   Json counters = Json::object();

@@ -27,6 +27,7 @@
 #include "common/json.hpp"
 #include "harness/golden.hpp"
 #include "harness/view_hash.hpp"
+#include "harness/view_invariants.hpp"
 #include "sim/timing.hpp"
 
 namespace vs07::sim {
@@ -108,8 +109,10 @@ Json runCase(const ScheduleCase& scheduleCase, bool churn) {
                      .timing(scheduleCase.timing);
   if (churn) builder.churn(0.01);
   auto scenario = builder.build();
+  EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "after warm-up";
   scenario.killRandomFraction(0.05);
   scenario.runCycles(12);
+  EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "at the end";
 
   const ShardedEngine& engine = *scenario.shardedEngine();
   Json out = Json::object();
