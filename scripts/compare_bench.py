@@ -25,6 +25,12 @@ verdict under the rules of BENCHMARK.json's bounds:
               noise (unless every change run beats every parent run)
   within bound  none of the above
 
+Where a workload prints perfbench's host-speed probe, the same
+quartiles, medians and pair wins (no verdict: the probe has no bound)
+are shown for host_slowdown and the unscaled ops_per_s_host next to the
+verdicts, so a move of the scaled ops_per_s can be traced to the
+operation or to the probe.
+
 A workload whose runs failed a correctness check, or whose change runs
 fail a larger share of operations, is flagged as such. Per-layer
 metrics (traced pairs) get medians, the change/parent ratio and pair
@@ -85,6 +91,10 @@ def machine():
 # for how slowly the host ran (1.0 = the reference machine when quiet).
 TIME_UNITS = ("ms", "s")
 HOST_SLOWDOWN = "host_slowdown"
+# The host probe's printed figures and which way is better: how slowly
+# the host ran, and the operation rate before scaling by it.
+OPS_HOST = "ops_per_s_host"
+HOST_PROBE = ((HOST_SLOWDOWN, "lower"), (OPS_HOST, "higher"))
 # Fewest pairs a gain verdict may rest on (the choosing-metrics rule).
 MIN_PAIRS = 10
 
@@ -121,6 +131,7 @@ def run_once(checkout, workload, seed, seconds, trace):
             "attempted": record["attempted"], "failed": record["failed"],
             "wall_s": round(wall, 2),
             HOST_SLOWDOWN: printed_value(lines, HOST_SLOWDOWN),
+            OPS_HOST: printed_value(lines, OPS_HOST),
             "metrics": {name: m["value"]
                         for name, m in record["metrics"].items()}}
 
@@ -148,22 +159,38 @@ def quartiles(values):
     return q1, median, q3
 
 
+def paired(parent, change, better):
+    """Each side's quartiles, the change's move and its pair wins."""
+    sign = 1.0 if better == "higher" else -1.0
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    return {"better": better,
+            "parent": {"q1": p1, "median": pm, "q3": p3},
+            "change": {"q1": c1, "median": cm, "q3": c3},
+            "change_vs_parent": (cm - pm) / abs(pm) if pm else 0.0,
+            "pairs": len(parent),
+            "wins": sum(1 for p, c in zip(parent, change)
+                        if sign * (c - p) > 0),
+            "losses": sum(1 for p, c in zip(parent, change)
+                          if sign * (c - p) < 0)}
+
+
 def summarise(metric, parent_runs, change_runs):
     """Medians, quartiles, pair wins and the verdict for one metric."""
-    name, higher = metric["name"], metric["better"] == "higher"
+    name = metric["name"]
     parent = [r["metrics"][name] for r in parent_runs if name in r["metrics"]]
     change = [r["metrics"][name] for r in change_runs if name in r["metrics"]]
     if not parent or len(parent) != len(change):
         return {"metric": name, "verdict": "missing"}
-    sign = 1.0 if higher else -1.0
-    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
-    losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
-    p1, pm, p3 = quartiles(parent)
-    c1, cm, c3 = quartiles(change)
-    spread = p3 - p1
-    gain = sign * (cm - pm)
-    bound = metric.get("bound")
-    if len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and \
+    row = {"metric": name, "unit": metric["unit"],
+           **paired(parent, change, metric["better"]),
+           "bound": metric.get("bound")}
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    pm = row["parent"]["median"]
+    spread = row["parent"]["q3"] - row["parent"]["q1"]
+    gain = sign * (row["change"]["median"] - pm)
+    bound = row["bound"]
+    if len(parent) >= MIN_PAIRS and row["wins"] >= 0.9 * len(parent) and \
             gain > spread:
         verdict = "gain"
     elif bound is not None and -gain > bound * abs(pm):
@@ -173,13 +200,22 @@ def summarise(metric, parent_runs, change_runs):
         verdict = "unresolved"
     else:
         verdict = "within bound"
-    return {"metric": name, "unit": metric["unit"],
-            "better": metric["better"], "bound": bound,
-            "parent": {"q1": p1, "median": pm, "q3": p3},
-            "change": {"q1": c1, "median": cm, "q3": c3},
-            "change_vs_parent": (cm - pm) / abs(pm) if pm else 0.0,
-            "pairs": len(parent), "wins": wins, "losses": losses,
-            "verdict": verdict}
+    row["verdict"] = verdict
+    return row
+
+
+def summarise_host_probe(parent_runs, change_runs):
+    """host_slowdown and ops_per_s_host summarised like an end-to-end
+    metric but without a verdict; empty unless every run printed them."""
+    rows = []
+    for name, better in HOST_PROBE:
+        parent = [r.get(name) for r in parent_runs]
+        change = [r.get(name) for r in change_runs]
+        if not parent or len(parent) != len(change) or \
+                None in parent + change:
+            continue
+        rows.append({"metric": name, **paired(parent, change, better)})
+    return rows
 
 
 def layer_values(runs, metric):
@@ -240,6 +276,8 @@ def compare(spec, sides, workload, args):
             "more_failures": failures["change"] > failures["parent"],
             "end_to_end": [summarise(m, runs["parent"], runs["change"])
                            for m in spec["end_to_end"]],
+            "host_probe": summarise_host_probe(runs["parent"],
+                                               runs["change"]),
             "per_layer": summarise_layers(spec, traced["parent"],
                                           traced["change"]),
             "runs": runs, "traced_runs": traced}
@@ -259,8 +297,8 @@ def print_comparison(result):
           f"{result['failed_share']['change']:.4g}")
     print(f"  {'metric':<22} {'parent q1/med/q3':<30} "
           f"{'change q1/med/q3':<30} {'change':>8} {'wins':>6}  verdict")
-    for row in result["end_to_end"]:
-        if row["verdict"] == "missing":
+    for row in result["end_to_end"] + result.get("host_probe", []):
+        if row.get("verdict") == "missing":
             print(f"  {row['metric']:<22} missing")
             continue
         p, c = row["parent"], row["change"]
@@ -269,7 +307,7 @@ def print_comparison(result):
               f"{fmt(c['q1']) + ' / ' + fmt(c['median']) + ' / ' + fmt(c['q3']):<30} "
               f"{row['change_vs_parent']:>+8.1%} "
               f"{str(row['wins']) + '/' + str(row['pairs']):>6}  "
-              f"{row['verdict']}")
+              f"{row.get('verdict', 'host probe, no verdict')}")
     if result["per_layer"]:
         normalised = any(row["host_normalised"]
                          for row in result["per_layer"])

@@ -61,6 +61,43 @@ class Summarise(unittest.TestCase):
                          "missing")
 
 
+class HostProbe(unittest.TestCase):
+    @staticmethod
+    def probed(slowdowns, host_rates):
+        return [{"metrics": {"ops_per_s": rate * slowdown},
+                 "host_slowdown": slowdown, "ops_per_s_host": rate}
+                for slowdown, rate in zip(slowdowns, host_rates)]
+
+    def test_probe_figures_get_quartiles_and_wins_but_no_verdict(self):
+        # The change's operation runs 10 % faster, but its probe reads a
+        # faster host, so the scaled figure falls: the summary shows both.
+        parent = self.probed([1.6] * 10, [100.0 + i for i in range(10)])
+        change = self.probed([1.3] * 10, [110.0 + i for i in range(10)])
+        rows = {row["metric"]: row for row in
+                compare_bench.summarise_host_probe(parent, change)}
+        self.assertEqual(set(rows), {"host_slowdown", "ops_per_s_host"})
+        host = rows["ops_per_s_host"]
+        self.assertEqual(host["parent"]["median"], 104.5)
+        self.assertEqual(host["change"]["median"], 114.5)
+        self.assertEqual((host["wins"], host["pairs"]), (10, 10))
+        self.assertNotIn("verdict", host)
+        slowdown = rows["host_slowdown"]
+        self.assertEqual(slowdown["better"], "lower")
+        self.assertEqual(slowdown["wins"], 10)  # lower slowdown "wins"
+        self.assertAlmostEqual(slowdown["change_vs_parent"], -0.1875)
+        scaled = compare_bench.summarise(OPS, parent, change)
+        self.assertLess(scaled["change_vs_parent"], 0)
+
+    def test_workloads_without_the_probe_get_no_rows(self):
+        self.assertEqual(
+            compare_bench.summarise_host_probe(runs([1.0] * 10),
+                                               runs([1.0] * 10)), [])
+        no_print = [{"metrics": {}, "host_slowdown": None,
+                     "ops_per_s_host": None}] * 10
+        self.assertEqual(
+            compare_bench.summarise_host_probe(no_print, no_print), [])
+
+
 class Arguments(unittest.TestCase):
     def main(self, *extra):
         return subprocess.run(

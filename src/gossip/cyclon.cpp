@@ -6,8 +6,7 @@ namespace vs07::gossip {
 
 Cyclon::Cyclon(sim::Network& network, net::Transport& transport,
                sim::MessageRouter& router, Params params, std::uint64_t seed)
-    : network_(network),
-      transport_(transport),
+    : transport_(transport),
       params_(params),
       rng_(seed) {
   VS07_EXPECT(params_.viewLength > 0);
@@ -26,7 +25,7 @@ Cyclon::Cyclon(sim::Network& network, net::Transport& transport,
 }
 
 PeerDescriptor Cyclon::selfDescriptor(NodeId node) const {
-  return PeerDescriptor{node, 0, network_.seqId(node)};
+  return PeerDescriptor{node, 0};
 }
 
 void Cyclon::onReserve(NodeId count) {

@@ -119,7 +119,6 @@ class Cyclon final : public sim::CycleProtocol,
 
   PeerDescriptor selfDescriptor(NodeId node) const;
 
-  sim::Network& network_;
   net::Transport& transport_;
   Params params_;
   Rng rng_;

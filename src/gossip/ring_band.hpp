@@ -8,11 +8,13 @@
 // largest the nearest predecessors; node ids break equal-profile ties, so
 // over duplicate-free candidates the order is total.
 //
-// RingBand keeps the k smallest and the m largest keys of a candidate span
-// by bounded insertion, one scan per side. That yields exactly the
-// entries, in exactly the order, that a full sort on the key puts at its
-// two ends, at O(n·(k+m)) worst case with n, k and m the tens a view holds,
-// and without moving the candidates themselves.
+// Candidates carry no ring position: every call reads each candidate's
+// profile once from a per-node table (VICINITY's profile table) into a
+// key buffer. RingBand then keeps the k smallest and the m largest keys by
+// bounded insertion, one scan per side over those keys. That yields
+// exactly the entries, in exactly the order, that a full sort on the key
+// puts at its two ends, at O(n·(k+m)) worst case with n, k and m the tens
+// a view holds, and without moving the candidates themselves.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "net/message.hpp"
 #include "net/node_id.hpp"
 
@@ -53,19 +56,27 @@ class RingBand {
   RingBand(std::size_t succCapacity, std::size_t predCapacity)
       : succ_(succCapacity), pred_(predCapacity) {}
 
-  /// Ranks `candidates` around `anchor` and keeps the `succCount` smallest
-  /// and the `predCount` largest keys. Node ids must be distinct. The two
-  /// sides overlap when the span holds fewer than succCount + predCount
-  /// candidates. `viewed` counts the leading candidates taken from a view
-  /// in band order; it steers the scan, never the result.
+  /// Ranks `candidates` around `anchor`, each at `profiles[node]`, and
+  /// keeps the `succCount` smallest and the `predCount` largest keys. Node
+  /// ids must be distinct and index `profiles`. The two sides overlap when
+  /// the span holds fewer than succCount + predCount candidates. `viewed`
+  /// counts the leading candidates taken from a view in band order; it
+  /// steers the scan, never the result.
   void select(SequenceId anchor, std::span<const PeerDescriptor> candidates,
-              std::size_t succCount, std::size_t predCount,
-              std::size_t viewed) {
+              std::span<const SequenceId> profiles, std::size_t succCount,
+              std::size_t predCount, std::size_t viewed) {
     if (succ_.size() < succCount) succ_.resize(succCount);
     if (pred_.size() < predCount) pred_.resize(predCount);
+    const std::size_t n = candidates.size();
+    if (keys_.size() < n) keys_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeId node = candidates[i].node;
+      VS07_EXPECT(node < profiles.size());
+      keys_[i] = {clockwiseDistance(anchor, profiles[node]), node,
+                  static_cast<std::uint32_t>(i)};
+    }
     succSize_ = 0;
     predSize_ = 0;
-    const std::size_t n = candidates.size();
     viewed = std::min(viewed, n);
     // A view in band order ascends by key around its owner: its
     // successors, then its predecessors farthest first. The successor side
@@ -79,15 +90,13 @@ class RingBand {
     const auto predNearer = [](const RingKey& a, const RingKey& b) {
       return b < a;
     };
+    const RingKey* keys = keys_.data();
     for (std::size_t i = 0; i < n; ++i)
-      keepNearest(succ_.data(), succSize_, succCount,
-                  keyOf(anchor, candidates, i), succNearer);
+      keepNearest(succ_.data(), succSize_, succCount, keys[i], succNearer);
     for (std::size_t i = viewed; i-- > 0;)
-      keepNearest(pred_.data(), predSize_, predCount,
-                  keyOf(anchor, candidates, i), predNearer);
+      keepNearest(pred_.data(), predSize_, predCount, keys[i], predNearer);
     for (std::size_t i = viewed; i < n; ++i)
-      keepNearest(pred_.data(), predSize_, predCount,
-                  keyOf(anchor, candidates, i), predNearer);
+      keepNearest(pred_.data(), predSize_, predCount, keys[i], predNearer);
   }
 
   /// Kept successors, nearest first (ascending key).
@@ -100,13 +109,6 @@ class RingBand {
   }
 
  private:
-  static RingKey keyOf(SequenceId anchor,
-                       std::span<const PeerDescriptor> candidates,
-                       std::size_t i) noexcept {
-    return {clockwiseDistance(anchor, candidates[i].profile),
-            candidates[i].node, static_cast<std::uint32_t>(i)};
-  }
-
   /// Bounded insertion into `buf`, ordered nearest first by `nearer`: a
   /// key enters while the buffer has room or when it is nearer than the
   /// last kept one, and shifts into place.
@@ -124,6 +126,8 @@ class RingBand {
     buf[i] = key;
   }
 
+  /// Every candidate's key, in span order (the scans' input).
+  std::vector<RingKey> keys_;
   std::vector<RingKey> succ_;
   std::vector<RingKey> pred_;
   std::size_t succSize_ = 0;
@@ -139,18 +143,18 @@ class RingBand {
 /// unlike a symmetric nearest-k selection, it keeps both ring directions
 /// represented even when sequence ids cluster (the §8 domain-sorted ring,
 /// where a node's whole cluster is nearer than its true cross-cluster
-/// successor). Node ids in `pool` must be distinct; `viewed` is passed on
-/// to RingBand::select.
+/// successor). Node ids in `pool` must be distinct and index `profiles`;
+/// `viewed` is passed on to RingBand::select.
 template <class Emit>
 void emitRingBand(SequenceId anchor, std::span<const PeerDescriptor> pool,
-                  std::size_t viewed, std::size_t budget, RingBand& band,
-                  Emit&& emit) {
+                  std::span<const SequenceId> profiles, std::size_t viewed,
+                  std::size_t budget, RingBand& band, Emit&& emit) {
   if (pool.size() <= budget) {
     for (const auto& entry : pool) emit(entry);
     return;
   }
   const std::size_t succCount = (budget + 1) / 2;
-  band.select(anchor, pool, succCount, budget - succCount, viewed);
+  band.select(anchor, pool, profiles, succCount, budget - succCount, viewed);
   for (const RingKey& key : band.successors()) emit(pool[key.slot]);
   const auto pred = band.predecessors();
   for (auto it = pred.rbegin(); it != pred.rend(); ++it) emit(pool[it->slot]);

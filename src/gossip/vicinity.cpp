@@ -8,8 +8,7 @@ namespace vs07::gossip {
 Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
                    sim::MessageRouter& router, const Cyclon& cyclon,
                    Params params, std::uint64_t seed, ProfileFn profile)
-    : network_(network),
-      transport_(transport),
+    : transport_(transport),
       cyclon_(cyclon),
       params_(params),
       rng_(seed),
@@ -34,7 +33,7 @@ Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
 }
 
 PeerDescriptor Vicinity::selfDescriptor(NodeId node) const {
-  return PeerDescriptor{node, 0, profileOf(node)};
+  return PeerDescriptor{node, 0};
 }
 
 void Vicinity::onReserve(NodeId count) {
@@ -104,8 +103,9 @@ RingNeighbors Vicinity::ringNeighbors(NodeId node) const {
   std::uint64_t bestSucc = 0;
   std::uint64_t bestPred = 0;
   for (const auto& e : v.entries()) {
-    const auto cw = clockwiseDistance(self, e.profile);
-    const auto ccw = clockwiseDistance(e.profile, self);
+    const SequenceId profile = profileOf(e.node);
+    const auto cw = clockwiseDistance(self, profile);
+    const auto ccw = clockwiseDistance(profile, self);
     if (result.successor == kNoNode || cw < bestSucc) {
       bestSucc = cw;
       result.successor = e.node;
@@ -123,7 +123,8 @@ std::vector<NodeId> Vicinity::ringBand(NodeId node,
   VS07_EXPECT(width >= 1);
   RingBand band;
   const auto entries = view(node).entries();
-  band.select(profileOf(node), entries, width, width, entries.size());
+  band.select(profileOf(node), entries, profiles_, width, width,
+              entries.size());
   const auto succ = band.successors();
   const auto pred = band.predecessors();
 
@@ -204,15 +205,11 @@ void Vicinity::offerInto(NodeId self, NodeId target,
   // Both views are duplicate-free: random-layer entries need checking
   // against the proximity part only.
   const std::size_t own = pool.size();
-  for (const auto& e : cyclon_.view(self).entries()) {
-    if (e.node == target) continue;
-    // Translate the random-layer descriptor into this ring's profile
-    // space (identity for the default ring; salted for multi-ring).
-    poolAdmit(pool, own, ownBits,
-              PeerDescriptor{e.node, e.age, profileOf(e.node)});
-  }
+  for (const auto& e : cyclon_.view(self).entries())
+    if (e.node != target) poolAdmit(pool, own, ownBits, e);
   out.clear();
-  emitRingBand(targetProfile, pool, own, params_.exchangeLength - 1, band,
+  emitRingBand(targetProfile, pool, profiles_, own,
+               params_.exchangeLength - 1, band,
                [&out](const PeerDescriptor& e) { out.push_back(e); });
   // Our own fresh descriptor always travels along: the target must learn
   // about us to ever point a d-link our way.
@@ -229,20 +226,12 @@ void Vicinity::handleRequestImpl(NodeId self, const net::Message& msg,
                                  net::Message& replyScratch,
                                  std::vector<PeerDescriptor>& pool,
                                  RingBand& band) {
-  // The initiator's descriptor is always in the offer (see offerInto).
-  SequenceId initiatorProfile = profileOf(msg.from);
-  for (const auto& e : msg.entries)
-    if (e.node == msg.from) {
-      initiatorProfile = e.profile;
-      break;
-    }
-
   net::Message& reply = replyScratch;
   reply.reset();
   reply.kind = net::MessageKind::VicinityReply;
   reply.channel = params_.channel;
   reply.from = self;
-  offerInto(self, msg.from, initiatorProfile, pool, band, reply.entries);
+  offerInto(self, msg.from, profileOf(msg.from), pool, band, reply.entries);
   transport.send(msg.from, std::move(reply));
 
   mergeByProximity(self, msg.entries, pool, band);
@@ -305,8 +294,8 @@ void Vicinity::mergeByProximity(NodeId self,
       bits |= nodeBit(e.node);
 
   v.clear();
-  emitRingBand(profileOf(self), pool, viewed, params_.viewLength, band,
-               [&v](const PeerDescriptor& e) { v.add(e); });
+  emitRingBand(profileOf(self), pool, profiles_, viewed, params_.viewLength,
+               band, [&v](const PeerDescriptor& e) { v.add(e); });
 }
 
 }  // namespace vs07::gossip

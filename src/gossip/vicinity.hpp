@@ -10,10 +10,11 @@
 // can form from any bootstrap topology.
 //
 // Every band an exchange forms comes from gossip/ring_band.hpp's keyed
-// primitive. Ring positions are read from a dense per-node table that the
-// profile function fills once per node (onSpawn) and on every
-// Network::setSeqId (onSeqIdChange), so the exchange makes no indirect
-// call per candidate.
+// primitive. Views and offers carry (node, age) only: ring positions are
+// read from a dense per-node table that the profile function fills once
+// per node (onSpawn) and on every Network::setSeqId (onSeqIdChange), so
+// the exchange makes no indirect call per candidate, CYCLON entries join
+// the pool as they are, and no peer can claim a position of its own.
 #pragma once
 
 #include <cstdint>
@@ -159,7 +160,6 @@ class Vicinity final : public sim::CycleProtocol,
 
   PeerDescriptor selfDescriptor(NodeId node) const;
 
-  sim::Network& network_;
   net::Transport& transport_;
   const Cyclon& cyclon_;
   Params params_;

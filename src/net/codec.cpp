@@ -87,7 +87,6 @@ void encodeInto(const Message& msg, std::vector<std::uint8_t>& out) {
   for (const auto& e : msg.entries) {
     w.u32(e.node);
     w.u32(e.age);
-    w.u64(e.profile);
   }
   w.u32(static_cast<std::uint32_t>(msg.ids.size()));
   for (const std::uint64_t id : msg.ids) w.u64(id);
@@ -120,16 +119,15 @@ void decodeInto(std::span<const std::uint8_t> bytes, Message& out) {
   if (count > kMaxWireEntries)
     throw CodecError(CodecErrorKind::kBadCount, "entry count out of range");
   // Cheap structural check before reserving: the claimed entries cannot
-  // outnumber the bytes left (16 bytes each), so a forged count inside
+  // outnumber the bytes left (8 bytes each), so a forged count inside
   // the cap still cannot force a large dead reservation.
-  if (count > r.remaining() / 16)
+  if (count > r.remaining() / 8)
     throw CodecError(CodecErrorKind::kTruncated, "truncated entry list");
   out.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     PeerDescriptor e;
     e.node = r.u32();
     e.age = r.u32();
-    e.profile = r.u64();
     out.entries.push_back(e);
   }
   const std::uint32_t idCount = r.u32();

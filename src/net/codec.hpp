@@ -6,6 +6,13 @@
 // bad-version buffers raise a typed CodecError instead of reading out of
 // bounds or allocating unbounded memory.
 //
+// Layout (version 2): u8 version, u8 kind, u8 channel, u32 from,
+// u64 dataId, u32 hop, u8 flags, u32 entry count, then per entry
+// {u32 node, u32 age}, then u32 id count and one u64 per id. Entries
+// carry no ring position: every process builds the same population, so a
+// receiver ranks peers by its own profile table (version 1 carried a u64
+// profile per entry; decode now refuses it).
+//
 // Invariants: decode(encode(m)) == m for every representable Message
 // (field order and integer widths are fixed, independent of host
 // endianness), and every malformed input is rejected with a CodecError
@@ -24,7 +31,7 @@ namespace vs07::net {
 
 /// Version byte leading every encoded Message. Bumped on any layout
 /// change; decode rejects everything else (kBadVersion).
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /// Sanity cap on entry/id counts: a view exchange carries at most a few
 /// dozen entries; anything claiming more is corrupt input, not a big

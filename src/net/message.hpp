@@ -13,13 +13,13 @@
 
 namespace vs07::net {
 
-/// One entry of a partial view as it travels on the wire.
+/// One entry of a partial view as it travels on the wire: 8 bytes. A
+/// peer's ring position is a pure function of its node, so it never
+/// travels; each VICINITY instance reads it from its own profile table.
 struct PeerDescriptor {
   NodeId node = kNoNode;
   /// Gossip age in cycles (CYCLON freshness).
   std::uint32_t age = 0;
-  /// Application profile; for RINGCAST this is the peer's SequenceId.
-  SequenceId profile = 0;
 
   friend bool operator==(const PeerDescriptor&,
                          const PeerDescriptor&) = default;

@@ -63,15 +63,6 @@ TEST(Cyclon, ViewsFillToCapacityAfterWarmup) {
     EXPECT_EQ(h.cyclon.view(id).size(), 10u) << "node " << id;
 }
 
-TEST(Cyclon, ViewEntriesCarryCorrectProfiles) {
-  CyclonHarness h(50, {8, 4});
-  sim::bootstrapStar(h.network, h.cyclon);
-  h.engine.run(30);
-  for (const NodeId id : h.network.aliveIds())
-    for (const auto& e : h.cyclon.view(id).entries())
-      EXPECT_EQ(e.profile, h.network.seqId(e.node));
-}
-
 TEST(Cyclon, OverlayBecomesStronglyConnected) {
   CyclonHarness h(500);
   sim::bootstrapStar(h.network, h.cyclon);

@@ -3,7 +3,9 @@
 // entry for entry and in order, what the full-sort selection produced
 // before it — over random pools with cross-layer duplicates, equal
 // profiles, distance 0 and ring wrap-around — and Vicinity::ringBand must
-// equal its former sort-based definition on live views.
+// equal its former sort-based definition on live views. As in VICINITY,
+// each node has one profile, drawn into a per-node table that the
+// selection and the reference both read.
 #include "gossip/ring_band.hpp"
 
 #include <gtest/gtest.h>
@@ -39,21 +41,23 @@ void referencePoolInsert(std::vector<PeerDescriptor>& pool,
   pool.push_back(entry);
 }
 
-bool referenceLess(SequenceId anchor, const PeerDescriptor& a,
-                   const PeerDescriptor& b) {
-  const auto da = clockwiseDistance(anchor, a.profile);
-  const auto db = clockwiseDistance(anchor, b.profile);
+using Profiles = std::vector<SequenceId>;
+
+bool referenceLess(SequenceId anchor, const Profiles& profiles,
+                   const PeerDescriptor& a, const PeerDescriptor& b) {
+  const auto da = clockwiseDistance(anchor, profiles.at(a.node));
+  const auto db = clockwiseDistance(anchor, profiles.at(b.node));
   if (da != db) return da < db;
   return a.node < b.node;
 }
 
-void referenceSelectRingBand(SequenceId anchor,
+void referenceSelectRingBand(SequenceId anchor, const Profiles& profiles,
                              std::vector<PeerDescriptor>& pool,
                              std::size_t budget) {
   if (pool.size() <= budget) return;
   std::sort(pool.begin(), pool.end(),
-            [anchor](const PeerDescriptor& a, const PeerDescriptor& b) {
-              return referenceLess(anchor, a, b);
+            [&](const PeerDescriptor& a, const PeerDescriptor& b) {
+              return referenceLess(anchor, profiles, a, b);
             });
   const std::size_t succCount = (budget + 1) / 2;
   const std::size_t predCount = budget - succCount;
@@ -63,12 +67,13 @@ void referenceSelectRingBand(SequenceId anchor,
 }
 
 std::vector<NodeId> referenceRingBand(SequenceId self,
+                                      const Profiles& profiles,
                                       std::span<const PeerDescriptor> view,
                                       std::uint32_t width) {
   std::vector<PeerDescriptor> sorted(view.begin(), view.end());
   std::sort(sorted.begin(), sorted.end(),
-            [self](const PeerDescriptor& a, const PeerDescriptor& b) {
-              return referenceLess(self, a, b);
+            [&](const PeerDescriptor& a, const PeerDescriptor& b) {
+              return referenceLess(self, profiles, a, b);
             });
   std::vector<NodeId> band;
   const std::size_t succ = std::min<std::size_t>(width, sorted.size());
@@ -126,11 +131,17 @@ SequenceId drawAnchor(Rng& rng) {
   }
 }
 
+/// One profile per node id in [0, ids), as VICINITY's table holds them.
+Profiles drawProfiles(ProfileSource& profile, NodeId ids) {
+  Profiles profiles(ids);
+  for (auto& p : profiles) p = profile();
+  return profiles;
+}
+
 /// A duplicate-free view, as a View holds it: min(size, idSpace) entries
 /// over node ids [idBase, idBase + idSpace), ages 0-7.
 std::vector<PeerDescriptor> drawView(Rng& rng, std::size_t size,
-                                     NodeId idBase, NodeId idSpace,
-                                     ProfileSource& profile) {
+                                     NodeId idBase, NodeId idSpace) {
   std::vector<PeerDescriptor> view;
   size = std::min<std::size_t>(size, idSpace);
   while (view.size() < size) {
@@ -139,8 +150,7 @@ std::vector<PeerDescriptor> drawView(Rng& rng, std::size_t size,
         std::any_of(view.begin(), view.end(),
                     [node](const PeerDescriptor& e) { return e.node == node; });
     if (!taken)
-      view.push_back({node, static_cast<std::uint32_t>(rng.below(8)),
-                      profile()});
+      view.push_back({node, static_cast<std::uint32_t>(rng.below(8))});
   }
   return view;
 }
@@ -152,10 +162,11 @@ std::size_t drawBudget(Rng& rng, std::size_t poolSize) {
 
 std::vector<PeerDescriptor> bandOf(SequenceId anchor,
                                    std::span<const PeerDescriptor> pool,
+                                   const Profiles& profiles,
                                    std::size_t viewed, std::size_t budget,
                                    RingBand& band) {
   std::vector<PeerDescriptor> out;
-  emitRingBand(anchor, pool, viewed, budget, band,
+  emitRingBand(anchor, pool, profiles, viewed, budget, band,
                [&out](const PeerDescriptor& e) { out.push_back(e); });
   return out;
 }
@@ -181,20 +192,16 @@ TEST(RingBandOracle, OfferPoolAndBandMatchFullSort) {
     const auto idSpace = static_cast<NodeId>(
         disjoint ? 64 : std::max(ownSize, total - ownSize) + 1 +
                             rng.below(16));
-    const auto own = drawView(rng, ownSize, 0, idSpace, profile);
-    auto random = drawView(rng, total - ownSize, disjoint ? idSpace : 0,
-                           idSpace, profile);
-    // A random-layer duplicate carries the ring's profile for its node
-    // (Vicinity translates through the profile table) but its own age;
-    // give some a profile of their own too, so a replacement moves keys.
-    for (auto& e : random) {
-      const auto it = std::find_if(
+    const Profiles profiles = drawProfiles(profile, 2 * idSpace);
+    const auto own = drawView(rng, ownSize, 0, idSpace);
+    const auto random =
+        drawView(rng, total - ownSize, disjoint ? idSpace : 0, idSpace);
+    // A random-layer duplicate names a node of the proximity part at an
+    // age of its own; its position is the node's, from the table.
+    for (const auto& e : random)
+      crossDuplicates += std::any_of(
           own.begin(), own.end(),
           [&e](const PeerDescriptor& o) { return o.node == e.node; });
-      if (it == own.end()) continue;
-      ++crossDuplicates;
-      if (rng.below(4) != 0) e.profile = it->profile;
-    }
     // Mostly the target is no candidate at all.
     const NodeId target = static_cast<NodeId>(rng.below(4 * idSpace));
 
@@ -218,8 +225,8 @@ TEST(RingBandOracle, OfferPoolAndBandMatchFullSort) {
     poolSizes[pool.size()] = true;
 
     const std::size_t budget = drawBudget(rng, pool.size());
-    const auto got = bandOf(anchor, pool, ownCount, budget, band);
-    referenceSelectRingBand(anchor, expected, budget);
+    const auto got = bandOf(anchor, pool, profiles, ownCount, budget, band);
+    referenceSelectRingBand(anchor, profiles, expected, budget);
     ASSERT_EQ(got, expected) << "trial " << trial << " budget " << budget;
   }
   EXPECT_TRUE(std::all_of(poolSizes.begin(), poolSizes.end(),
@@ -235,7 +242,8 @@ TEST(RingBandOracle, MergePoolAndBandMatchFullSort) {
     const SequenceId anchor = drawAnchor(rng);
     ProfileSource profile(rng, anchor);
     const auto idSpace = static_cast<NodeId>(4 + rng.below(60));
-    const auto view = drawView(rng, rng.below(41), 0, idSpace, profile);
+    const Profiles profiles = drawProfiles(profile, idSpace);
+    const auto view = drawView(rng, rng.below(41), 0, idSpace);
     // An offer may name peers of the view at other ages and, malformed,
     // repeat itself.
     std::vector<PeerDescriptor> incoming;
@@ -249,8 +257,7 @@ TEST(RingBandOracle, MergePoolAndBandMatchFullSort) {
         continue;
       }
       incoming.push_back({static_cast<NodeId>(rng.below(idSpace)),
-                          static_cast<std::uint32_t>(rng.below(8)),
-                          profile()});
+                          static_cast<std::uint32_t>(rng.below(8))});
     }
     const NodeId self = static_cast<NodeId>(rng.below(idSpace + 1));
     const NodeId banned = static_cast<NodeId>(rng.below(idSpace + 1));
@@ -272,8 +279,8 @@ TEST(RingBandOracle, MergePoolAndBandMatchFullSort) {
     ASSERT_EQ(pool, expected) << "trial " << trial;
 
     const std::size_t budget = drawBudget(rng, pool.size());
-    const auto got = bandOf(anchor, pool, view.size(), budget, band);
-    referenceSelectRingBand(anchor, expected, budget);
+    const auto got = bandOf(anchor, pool, profiles, view.size(), budget, band);
+    referenceSelectRingBand(anchor, profiles, expected, budget);
     ASSERT_EQ(got, expected) << "trial " << trial << " budget " << budget;
   }
   EXPECT_GT(repeatedIncoming, std::size_t{kTrials});
@@ -289,17 +296,18 @@ TEST(RingBandOracle, SidesAreTheEndsOfTheSortedOrder) {
   for (int trial = 0; trial < kTrials; ++trial) {
     const SequenceId anchor = drawAnchor(rng);
     ProfileSource profile(rng, anchor);
-    const auto candidates = drawView(rng, rng.below(65), 0, 80, profile);
+    const Profiles profiles = drawProfiles(profile, 80);
+    const auto candidates = drawView(rng, rng.below(65), 0, 80);
     const std::size_t succCount = rng.below(24);
     const std::size_t predCount = rng.below(24);
     // The scan hint may be anything, past the span included.
     const std::size_t viewed = rng.below(candidates.size() + 3);
-    band.select(anchor, candidates, succCount, predCount, viewed);
+    band.select(anchor, candidates, profiles, succCount, predCount, viewed);
 
     std::vector<PeerDescriptor> sorted(candidates);
     std::sort(sorted.begin(), sorted.end(),
-              [anchor](const PeerDescriptor& a, const PeerDescriptor& b) {
-                return referenceLess(anchor, a, b);
+              [&](const PeerDescriptor& a, const PeerDescriptor& b) {
+                return referenceLess(anchor, profiles, a, b);
               });
     const auto n = sorted.size();
     const auto succ = band.successors();
@@ -310,13 +318,13 @@ TEST(RingBandOracle, SidesAreTheEndsOfTheSortedOrder) {
       ASSERT_EQ(succ[i].node, sorted[i].node) << "trial " << trial;
       ASSERT_EQ(candidates[succ[i].slot].node, succ[i].node);
       ASSERT_EQ(succ[i].distance,
-                clockwiseDistance(anchor, sorted[i].profile));
+                clockwiseDistance(anchor, profiles[sorted[i].node]));
     }
     for (std::size_t i = 0; i < pred.size(); ++i) {
       ASSERT_EQ(pred[i].node, sorted[n - 1 - i].node) << "trial " << trial;
       ASSERT_EQ(candidates[pred[i].slot].node, pred[i].node);
       ASSERT_EQ(pred[i].distance,
-                clockwiseDistance(anchor, sorted[n - 1 - i].profile));
+                clockwiseDistance(anchor, profiles[sorted[n - 1 - i].node]));
     }
   }
 }
@@ -324,10 +332,14 @@ TEST(RingBandOracle, SidesAreTheEndsOfTheSortedOrder) {
 TEST(RingBandOracle, TiesGoToTheLowerNodeIdAndDistanceZeroComesFirst) {
   // Three peers share one profile at distance 5; one sits on the anchor.
   const SequenceId anchor = 100;
-  const std::vector<PeerDescriptor> pool{
-      {7, 0, 105}, {3, 0, 105}, {9, 0, 105}, {4, 0, 100}, {8, 0, 90}};
+  Profiles profiles(10);
+  profiles[7] = profiles[3] = profiles[9] = 105;
+  profiles[4] = 100;
+  profiles[8] = 90;
+  const std::vector<PeerDescriptor> pool{{7, 0}, {3, 0}, {9, 0}, {4, 0},
+                                         {8, 0}};
   RingBand band;
-  band.select(anchor, pool, 4, 1, pool.size());
+  band.select(anchor, pool, profiles, 4, 1, pool.size());
   std::vector<NodeId> succ;
   for (const auto& key : band.successors()) succ.push_back(key.node);
   EXPECT_EQ(succ, (std::vector<NodeId>{4, 3, 7, 9}));
@@ -354,6 +366,8 @@ TEST(RingBandOracle, VicinityRingBandMatchesTheSortDefinition) {
   engine.addProtocol(cyclon);
   engine.addProtocol(vicinity);
   sim::bootstrapStar(network, cyclon);
+  Profiles profiles(kNodes);
+  for (NodeId id = 0; id < kNodes; ++id) profiles[id] = coarse(id);
 
   std::size_t checked = 0;
   for (int round = 0; round < 4; ++round) {
@@ -362,7 +376,7 @@ TEST(RingBandOracle, VicinityRingBandMatchesTheSortDefinition) {
       const auto& view = vicinity.view(id);
       for (std::uint32_t width = 1; width <= 24; ++width) {
         ASSERT_EQ(vicinity.ringBand(id, width),
-                  referenceRingBand(vicinity.profileOf(id), view.entries(),
+                  referenceRingBand(profiles[id], profiles, view.entries(),
                                     width))
             << "node " << id << " width " << width;
         ++checked;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/alloc_probe.hpp"
 #include "common/expect.hpp"
@@ -14,7 +16,7 @@ namespace vs07::gossip {
 namespace {
 
 PeerDescriptor entry(NodeId node, std::uint32_t age = 0) {
-  return {node, age, node * 1000ULL};
+  return {node, age};
 }
 
 TEST(View, StartsEmpty) {
@@ -171,6 +173,91 @@ TEST(View, RandomEntriesIntoMatchesAllocatingPathBitForBit) {
       EXPECT_EQ(rngOld(), rngNew());
     }
   }
+}
+
+TEST(View, LayoutIsHalfSizeDescriptorsInline) {
+  // A descriptor is (node, age); the node filter fills the padding
+  // before the heap pointer, so a paper-length view stays 184 bytes.
+  static_assert(sizeof(net::PeerDescriptor) == 8);
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(View), 184u);
+  }
+}
+
+TEST(View, LookupsMatchALinearScanModel) {
+  // Random add / removeAt / removeNode / clear / copy sequences against a
+  // plain vector searched linearly. Node ids span three times the 32
+  // filter bits, so filter collisions are common; both storage modes run.
+  Rng rng(321);
+  constexpr NodeId kIds = 96;
+  constexpr NodeId kOwner = 5;
+  std::size_t refusedSelf = 0;
+  std::size_t refusedDuplicate = 0;
+  for (const std::uint32_t capacity : {View::kInlineCapacity,
+                                       View::kInlineCapacity + 7}) {
+    View v(kOwner, capacity);
+    std::vector<PeerDescriptor> model;
+    const auto modelIndex = [&model](NodeId node) {
+      for (std::size_t i = 0; i < model.size(); ++i)
+        if (model[i].node == node) return i;
+      return View::npos;
+    };
+    for (int op = 0; op < 50'000; ++op) {
+      const auto node = static_cast<NodeId>(rng.below(kIds));
+      switch (rng.below(16)) {
+        case 0:
+          v.clear();
+          model.clear();
+          break;
+        case 1: {
+          const View copy(v);
+          v = View(kOwner, capacity);
+          v = copy;
+          break;
+        }
+        case 2:
+        case 3:
+        case 4:
+          if (model.empty()) break;
+          {
+            const std::size_t i = rng.below(model.size());
+            v.removeAt(i);
+            model[i] = model.back();
+            model.pop_back();
+          }
+          break;
+        case 5:
+        case 6: {
+          const std::size_t i = modelIndex(node);
+          ASSERT_EQ(v.removeNode(node), i != View::npos);
+          if (i != View::npos) {
+            model[i] = model.back();
+            model.pop_back();
+          }
+          break;
+        }
+        default: {
+          const PeerDescriptor e{node, static_cast<std::uint32_t>(op)};
+          const bool duplicate = modelIndex(node) != View::npos;
+          if (model.size() >= capacity || node == kOwner || duplicate) {
+            EXPECT_THROW(v.add(e), ContractViolation);
+            refusedSelf += model.size() < capacity && node == kOwner;
+            refusedDuplicate += model.size() < capacity && duplicate;
+          } else {
+            v.add(e);
+            model.push_back(e);
+          }
+        }
+      }
+      ASSERT_TRUE(std::equal(v.entries().begin(), v.entries().end(),
+                             model.begin(), model.end()))
+          << "op " << op;
+      for (NodeId id = 0; id < kIds; ++id)
+        ASSERT_EQ(v.indexOf(id), modelIndex(id)) << "op " << op << " id " << id;
+    }
+  }
+  EXPECT_GT(refusedSelf, 100u);
+  EXPECT_GT(refusedDuplicate, 1000u);
 }
 
 TEST(View, InlineStorageUpToInlineCapacity) {

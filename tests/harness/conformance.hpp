@@ -95,24 +95,26 @@ void expectScenarioConformance(Build&& build, Measure&& measure) {
   }
 }
 
-/// Every view entry of every node, flattened in a fixed order — the
-/// byte-level fingerprint of the whole overlay state. Shared by the
+/// Every view entry of every node (node, age, the node's profile from
+/// its layer's table), flattened in a fixed order — the byte-level
+/// fingerprint of the whole overlay state. Shared by the
 /// sharded-determinism and search-conformance suites.
 inline std::vector<std::uint64_t> overlayFingerprint(
     const analysis::Scenario& scenario) {
   std::vector<std::uint64_t> out;
-  const auto total = scenario.network().totalCreated();
-  for (NodeId n = 0; n < total; ++n) {
+  const sim::Network& network = scenario.network();
+  const gossip::Vicinity& vicinity = scenario.vicinity();
+  for (NodeId n = 0; n < network.totalCreated(); ++n) {
     for (const auto& e : scenario.cyclon().view(n).entries()) {
       out.push_back(e.node);
       out.push_back(e.age);
-      out.push_back(e.profile);
+      out.push_back(network.seqId(e.node));
     }
     out.push_back(~0ULL);  // view separator
-    for (const auto& e : scenario.vicinity().view(n).entries()) {
+    for (const auto& e : vicinity.view(n).entries()) {
       out.push_back(e.node);
       out.push_back(e.age);
-      out.push_back(e.profile);
+      out.push_back(vicinity.profileOf(e.node));
     }
     out.push_back(~0ULL);
   }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "analysis/scenario.hpp"
 #include "gossip/view.hpp"
 
 namespace vs07::harness {
@@ -23,14 +24,33 @@ inline std::uint64_t mix(std::uint64_t hash, std::uint64_t word) {
   return hash;
 }
 
-/// Folds every entry of `view` (node, age, profile) and a separator.
-inline std::uint64_t mixView(std::uint64_t hash, const gossip::View& view) {
+/// Folds every entry of `view` (node, age, the node's profile from its
+/// layer's table `profileOf`) and a separator.
+template <class ProfileOf>
+std::uint64_t mixView(std::uint64_t hash, const gossip::View& view,
+                      ProfileOf&& profileOf) {
   for (const auto& e : view.entries()) {
     hash = mix(hash, e.node);
     hash = mix(hash, e.age);
-    hash = mix(hash, e.profile);
+    hash = mix(hash, profileOf(e.node));
   }
   return mix(hash, ~0ULL);  // view separator
+}
+
+/// Folds node `n`'s CYCLON view (profiles from Network::seqId), then each
+/// ring's VICINITY view (profiles from the ring's table).
+inline std::uint64_t mixNodeViews(std::uint64_t hash,
+                                  const analysis::Scenario& scenario,
+                                  NodeId n) {
+  const sim::Network& network = scenario.network();
+  hash = mixView(hash, scenario.cyclon().view(n),
+                 [&network](NodeId m) { return network.seqId(m); });
+  for (std::uint32_t r = 0; r < scenario.rings().ringCount(); ++r) {
+    const gossip::Vicinity& ring = scenario.rings().ring(r);
+    hash = mixView(hash, ring.view(n),
+                   [&ring](NodeId m) { return ring.profileOf(m); });
+  }
+  return hash;
 }
 
 }  // namespace vs07::harness

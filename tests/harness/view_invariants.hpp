@@ -1,17 +1,13 @@
 // Well-formedness of every gossip view in a scenario: the CYCLON view and
 // each ring's VICINITY view of every node ever created. A view must not
 // name its owner, must name each node at most once and must hold at most
-// its capacity; every stored profile must equal the one its layer's
-// table gives (Network::seqId for CYCLON, the ring's profileOf for
-// VICINITY).
+// its capacity.
 //
 // Header-only for the same reason as golden.hpp: every tests/**/*.cpp
 // builds into its own gtest binary.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,10 +16,9 @@
 
 namespace vs07::harness {
 
-/// Checks one view owned by `owner`; `profileOf` is the layer's table.
-inline ::testing::AssertionResult viewWellFormed(
-    const gossip::View& view, NodeId owner,
-    const std::function<SequenceId(NodeId)>& profileOf) {
+/// Checks one view owned by `owner`.
+inline ::testing::AssertionResult viewWellFormed(const gossip::View& view,
+                                                 NodeId owner) {
   if (view.owner() != owner)
     return ::testing::AssertionFailure()
            << "view of node " << owner << " is owned by " << view.owner();
@@ -42,11 +37,6 @@ inline ::testing::AssertionResult viewWellFormed(
         return ::testing::AssertionFailure()
                << "view of node " << owner << " names node " << e.node
                << " twice";
-    if (e.profile != profileOf(e.node))
-      return ::testing::AssertionFailure()
-             << "view of node " << owner << " stores profile " << e.profile
-             << " for node " << e.node << ", its table holds "
-             << profileOf(e.node);
   }
   return ::testing::AssertionSuccess();
 }
@@ -55,21 +45,11 @@ inline ::testing::AssertionResult viewWellFormed(
 /// MultiRing included; reports the first violation.
 inline ::testing::AssertionResult viewsWellFormed(
     const analysis::Scenario& scenario) {
-  const sim::Network& network = scenario.network();
-  const std::function<SequenceId(NodeId)> seqId = [&network](NodeId n) {
-    return network.seqId(n);
-  };
-  std::vector<std::function<SequenceId(NodeId)>> ringProfiles;
-  for (std::uint32_t r = 0; r < scenario.rings().ringCount(); ++r)
-    ringProfiles.push_back([&ring = scenario.rings().ring(r)](NodeId n) {
-      return ring.profileOf(n);
-    });
-  for (NodeId n = 0; n < network.totalCreated(); ++n) {
-    auto result = viewWellFormed(scenario.cyclon().view(n), n, seqId);
+  for (NodeId n = 0; n < scenario.network().totalCreated(); ++n) {
+    auto result = viewWellFormed(scenario.cyclon().view(n), n);
     if (!result) return result << " (CYCLON)";
     for (std::uint32_t r = 0; r < scenario.rings().ringCount(); ++r) {
-      result = viewWellFormed(scenario.rings().ring(r).view(n), n,
-                              ringProfiles[r]);
+      result = viewWellFormed(scenario.rings().ring(r).view(n), n);
       if (!result) return result << " (VICINITY ring " << r << ")";
     }
   }

@@ -14,7 +14,7 @@ Message sampleMessage() {
   m.from = 42;
   m.dataId = 0xDEADBEEFCAFEBABEULL;
   m.hop = 7;
-  m.entries = {{1, 10, 0x1111}, {2, 0, 0x2222}, {kNoNode, 99, 0}};
+  m.entries = {{1, 10}, {2, 0}, {kNoNode, 99}};
   m.flags = kFlagPullAnswer;
   m.ids = {0xAAAA, 0xBBBB, 1};
   return m;
@@ -187,6 +187,63 @@ TEST(Codec, ErrorKindsAreTyped) {
   EXPECT_EQ(kindOfFailure(badCount), CodecErrorKind::kBadCount);
 }
 
+TEST(Codec, VersionOneBufferIsRefused) {
+  // Version 1 carried a u64 ring position after each entry's node and
+  // age; a receiver ranks peers by its own table now and refuses it.
+  for (const std::uint32_t entries : {0u, 1u, 3u}) {
+    ByteWriter w;
+    w.u8(1);  // version
+    w.u8(static_cast<std::uint8_t>(MessageKind::VicinityRequest));
+    w.u8(0);        // channel
+    w.u32(42);      // from
+    w.u64(0);       // dataId
+    w.u32(0);       // hop
+    w.u8(0);        // flags
+    w.u32(entries);
+    for (std::uint32_t i = 0; i < entries; ++i) {
+      w.u32(i + 1);                  // node
+      w.u32(i);                      // age
+      w.u64(0x5EC0000000000000ULL);  // profile
+    }
+    w.u32(0);  // ids
+    EXPECT_EQ(kindOfFailure(w.bytes()), CodecErrorKind::kBadVersion)
+        << entries << " entries";
+  }
+}
+
+TEST(Codec, EntriesTakeEightBytesEach) {
+  // 28 header and count bytes, then {u32 node, u32 age} per entry and a
+  // u64 per id.
+  Message m = sampleMessage();
+  m.ids.clear();
+  for (std::size_t n = 0; n < 5; ++n) {
+    m.entries.resize(n);
+    const auto bytes = encode(m);
+    EXPECT_EQ(bytes.size(), 28 + 8 * n) << n << " entries";
+    EXPECT_EQ(decode(bytes), m);
+  }
+}
+
+TEST(Codec, EntryCountAboveRemainingOverEightIsTruncated) {
+  // Three entries and no ids leave 3 * 8 + 4 bytes after the entry count:
+  // a count of remaining / 8 + 1 fails the structural check before any
+  // entry is read.
+  Message m = sampleMessage();
+  m.ids.clear();
+  auto bytes = encode(m);
+  const std::size_t remaining = 3 * 8 + 4;
+  const std::size_t countAt = bytes.size() - remaining - 4;
+  ASSERT_EQ(bytes[countAt], 3u);
+  bytes[countAt] = static_cast<std::uint8_t>(remaining / 8 + 1);
+  try {
+    (void)decode(bytes);
+    ADD_FAILURE() << "decode unexpectedly succeeded";
+  } catch (const CodecError& error) {
+    EXPECT_EQ(error.kind(), CodecErrorKind::kTruncated);
+    EXPECT_STREQ(error.what(), "truncated entry list");
+  }
+}
+
 TEST(Codec, ErrorKindNamesAreStable) {
   EXPECT_STREQ(codecErrorKindName(CodecErrorKind::kTruncated), "truncated");
   EXPECT_STREQ(codecErrorKindName(CodecErrorKind::kBadVersion),
@@ -293,7 +350,7 @@ TEST(Codec, RandomRoundTripSweep) {
     const auto count = rng.below(40);
     for (std::uint64_t i = 0; i < count; ++i)
       m.entries.push_back({static_cast<NodeId>(rng()),
-                           static_cast<std::uint32_t>(rng()), rng()});
+                           static_cast<std::uint32_t>(rng())});
     m.flags = static_cast<std::uint8_t>(rng.below(2));
     const auto idCount = rng.below(30);
     for (std::uint64_t i = 0; i < idCount; ++i) m.ids.push_back(rng());

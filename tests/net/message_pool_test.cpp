@@ -21,7 +21,7 @@ Message gossipMessage(NodeId from, std::size_t entries) {
   m.from = from;
   for (std::size_t i = 0; i < entries; ++i)
     m.entries.push_back({static_cast<NodeId>(i + 1),
-                         static_cast<std::uint32_t>(i), i});
+                         static_cast<std::uint32_t>(i)});
   return m;
 }
 

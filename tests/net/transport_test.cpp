@@ -62,7 +62,7 @@ TEST(ImmediateTransport, ForwardsByMoveNotCopy) {
   msg.kind = MessageKind::CyclonRequest;
   msg.from = 3;
   for (int i = 0; i < 6; ++i)
-    msg.entries.push_back({static_cast<NodeId>(i + 10), 0, 0});
+    msg.entries.push_back({static_cast<NodeId>(i + 10), 0});
   const PeerDescriptor* sentData = msg.entries.data();
 
   t.send(1, std::move(msg));

@@ -85,7 +85,7 @@ net::Message dataMessage(NodeId from, std::size_t entryCount) {
   m.dataId = 0xD00D;
   m.hop = 1;
   for (std::size_t i = 0; i < entryCount; ++i)
-    m.entries.push_back({static_cast<NodeId>(i % 2), 1, i});
+    m.entries.push_back({static_cast<NodeId>(i % 2), 1});
   return m;
 }
 
@@ -167,7 +167,7 @@ TEST(UdpTransport, OversizedFrameTakesTcpFallback) {
   auto& [a, b] = *pair;
   a->peers.learn(1, b->addr(), AddressSource::kSelf);
 
-  // ~200 entries x 16 bytes each is well over the 1400-byte MTU.
+  // 200 entries x 8 bytes each is well over the 1400-byte MTU.
   a->transport.send(1, dataMessage(0, 200));
   ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
 
@@ -212,7 +212,7 @@ TEST(UdpTransport, OutOfPopulationIdsAreDroppedAsMalformed) {
   const net::Message forgedFrom = dataMessage(7, 0);
   net::Message forgedEntry = dataMessage(0, 0);
   forgedEntry.kind = net::MessageKind::CyclonRequest;
-  forgedEntry.entries = {{1, 0, 0}, {9, 0, 0}};
+  forgedEntry.entries = {{1, 0}, {9, 0}};
   int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(raw, 0);
   sockaddr_in dst{};

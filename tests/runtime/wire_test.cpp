@@ -15,7 +15,7 @@ net::Message samplePayload() {
   m.from = 7;
   m.dataId = 0x1122334455667788ULL;
   m.hop = 3;
-  m.entries = {{1, 4, 0xABCD}, {9, 0, 0x4321}};
+  m.entries = {{1, 4}, {9, 0}};
   return m;
 }
 

@@ -113,11 +113,8 @@ const ConditionCase kCases[] = {
 std::string viewHash(const analysis::Scenario& scenario) {
   std::uint64_t hash = harness::kFnvOffsetBasis;
   const NodeId created = scenario.network().totalCreated();
-  for (NodeId n = 0; n < created; ++n) {
-    hash = harness::mixView(hash, scenario.cyclon().view(n));
-    for (std::uint32_t r = 0; r < scenario.rings().ringCount(); ++r)
-      hash = harness::mixView(hash, scenario.rings().ring(r).view(n));
-  }
+  for (NodeId n = 0; n < created; ++n)
+    hash = harness::mixNodeViews(hash, scenario, n);
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string hex;
   for (int shift = 60; shift >= 0; shift -= 4)

@@ -58,10 +58,8 @@ Json viewHashes(const analysis::Scenario& scenario) {
   for (NodeId base = 0; base < created; base += kPerLine) {
     std::string line;
     for (NodeId n = base; n < created && n < base + kPerLine; ++n) {
-      std::uint64_t hash = harness::kFnvOffsetBasis;
-      hash = harness::mixView(hash, scenario.cyclon().view(n));
-      for (std::uint32_t r = 0; r < scenario.rings().ringCount(); ++r)
-        hash = harness::mixView(hash, scenario.rings().ring(r).view(n));
+      const std::uint64_t hash =
+          harness::mixNodeViews(harness::kFnvOffsetBasis, scenario, n);
       const auto folded = static_cast<std::uint32_t>(hash ^ (hash >> 32));
       if (!line.empty()) line.push_back(' ');
       for (int shift = 28; shift >= 0; shift -= 4)
