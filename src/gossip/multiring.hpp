@@ -5,9 +5,9 @@
 //
 // Each ring is an independent VICINITY instance on its own message channel.
 // A node's position on ring r is derived from its advertised sequence id:
-// mix64(seqId ^ salt_r). Deriving (rather than storing) the per-ring ids
-// keeps wire descriptors unchanged while still giving statistically
-// independent ring orders.
+// mix64(seqId ^ salt_r). Each ring's profile table holds the derived
+// positions, so descriptors carry none, on any ring, while the ring orders
+// stay statistically independent.
 #pragma once
 
 #include <cstdint>

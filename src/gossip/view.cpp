@@ -5,7 +5,6 @@ namespace vs07::gossip {
 void View::copyFrom(const View& other) {
   owner_ = other.owner_;
   size_ = other.size_;
-  nodeBits_ = other.nodeBits_;
   if (other.heap_) {
     // capacity_ still holds *this*'s old capacity here; reuse the existing
     // block only when it is exactly the right size.
@@ -19,7 +18,7 @@ void View::copyFrom(const View& other) {
   capacity_ = other.capacity_;
 }
 
-std::size_t View::scan(NodeId node) const noexcept {
+std::size_t View::indexOf(NodeId node) const noexcept {
   const PeerDescriptor* e = data();
   for (std::size_t i = 0; i < size_; ++i)
     if (e[i].node == node) return i;
@@ -40,7 +39,6 @@ void View::add(const PeerDescriptor& entry) {
   VS07_EXPECT(entry.node != owner_);
   VS07_EXPECT(!contains(entry.node));
   data()[size_++] = entry;
-  nodeBits_ |= nodeBit(entry.node);
 }
 
 void View::removeAt(std::size_t i) {
@@ -48,9 +46,6 @@ void View::removeAt(std::size_t i) {
   PeerDescriptor* e = data();
   e[i] = e[size_ - 1];
   --size_;
-  // Another entry may share the removed node's bit: rebuild the filter.
-  nodeBits_ = 0;
-  for (std::size_t j = 0; j < size_; ++j) nodeBits_ |= nodeBit(e[j].node);
 }
 
 bool View::removeNode(NodeId node) {

@@ -7,19 +7,15 @@
 //   * no entry for the owner itself,
 //   * no duplicate node ids.
 //
-// Lookups (contains, indexOf, and so add's duplicate check) first test a
-// 32-bit node filter: one bit per node id modulo 32, set for every entry
-// held. A clear bit proves the node absent; only a set bit costs the
-// linear scan. The filter sits in padding, so it costs no space.
-//
 // Storage: entries live in a fixed inline buffer for capacities up to
 // kInlineCapacity (the paper's view lengths fit), so a population's views
 // are one dense block inside the protocol's views_ vector — no per-view
 // heap allocation, no pointer chase on the shuffle hot path, and a
-// guaranteed no-realloc steady state. At 8 bytes per entry, a 20-entry
-// view takes 184 bytes on a 64-bit target. Larger capacities fall back to one
-// heap block sized exactly at construction; either way the entry buffer
-// never grows or moves after the View is built.
+// guaranteed no-realloc steady state. An entry is (node, age) in 8 bytes,
+// so a 20-entry view takes 184 bytes on a 64-bit target. Larger
+// capacities fall back to one heap block sized exactly at construction;
+// either way the entry buffer never grows or moves after the View is
+// built.
 #pragma once
 
 #include <array>
@@ -80,9 +76,7 @@ class View {
 
   /// Index of the entry for `node`, or npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t indexOf(NodeId node) const noexcept {
-    return (nodeBits_ & nodeBit(node)) != 0 ? scan(node) : npos;
-  }
+  std::size_t indexOf(NodeId node) const noexcept;
   bool contains(NodeId node) const noexcept {
     return indexOf(node) != npos;
   }
@@ -116,18 +110,9 @@ class View {
                          std::vector<PeerDescriptor>& out) const;
 
   /// Removes everything (node death / reset).
-  void clear() noexcept {
-    size_ = 0;
-    nodeBits_ = 0;
-  }
+  void clear() noexcept { size_ = 0; }
 
  private:
-  static constexpr std::uint32_t nodeBit(NodeId node) noexcept {
-    return std::uint32_t{1} << (node & 31);
-  }
-  /// Linear search behind indexOf's filter.
-  std::size_t scan(NodeId node) const noexcept;
-
   const PeerDescriptor* data() const noexcept {
     return heap_ ? heap_.get() : inline_.data();
   }
@@ -139,8 +124,6 @@ class View {
   NodeId owner_ = kNoNode;
   std::uint32_t capacity_ = 0;
   std::uint32_t size_ = 0;
-  /// OR of nodeBit over the entries held (exact: removals recompute it).
-  std::uint32_t nodeBits_ = 0;
   std::array<PeerDescriptor, kInlineCapacity> inline_{};
   /// Engaged only when capacity_ > kInlineCapacity; sized exactly.
   std::unique_ptr<PeerDescriptor[]> heap_;

@@ -176,8 +176,8 @@ TEST(View, RandomEntriesIntoMatchesAllocatingPathBitForBit) {
 }
 
 TEST(View, LayoutIsHalfSizeDescriptorsInline) {
-  // A descriptor is (node, age); the node filter fills the padding
-  // before the heap pointer, so a paper-length view stays 184 bytes.
+  // A descriptor is (node, age), so a paper-length view's entries take
+  // 160 bytes inline, beside three 4-byte fields and the heap pointer.
   static_assert(sizeof(net::PeerDescriptor) == 8);
   if constexpr (sizeof(void*) == 8) {
     EXPECT_EQ(sizeof(View), 184u);
@@ -186,8 +186,8 @@ TEST(View, LayoutIsHalfSizeDescriptorsInline) {
 
 TEST(View, LookupsMatchALinearScanModel) {
   // Random add / removeAt / removeNode / clear / copy sequences against a
-  // plain vector searched linearly. Node ids span three times the 32
-  // filter bits, so filter collisions are common; both storage modes run.
+  // plain vector searched linearly, in both storage modes. Every self,
+  // duplicate or overflowing add must throw and leave the view as it was.
   Rng rng(321);
   constexpr NodeId kIds = 96;
   constexpr NodeId kOwner = 5;
