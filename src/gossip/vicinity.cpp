@@ -180,13 +180,12 @@ void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
   request.kind = net::MessageKind::VicinityRequest;
   request.channel = params_.channel;
   request.from = self;
-  offerInto(self, q, profileOf(q), pool, band, request.entries);
+  offerInto(self, q, pool, band, request.entries);
   pendingTarget_[self] = q;
   transport.send(q, std::move(request));
 }
 
 void Vicinity::offerInto(NodeId self, NodeId target,
-                         SequenceId targetProfile,
                          std::vector<PeerDescriptor>& pool, RingBand& band,
                          std::vector<PeerDescriptor>& out) const {
   // Candidates are pooled in `pool` (a long-lived scratch) and only the
@@ -208,7 +207,7 @@ void Vicinity::offerInto(NodeId self, NodeId target,
   for (const auto& e : cyclon_.view(self).entries())
     if (e.node != target) poolAdmit(pool, own, ownBits, e);
   out.clear();
-  emitRingBand(targetProfile, pool, profiles_, own,
+  emitRingBand(profileOf(target), pool, profiles_, own,
                params_.exchangeLength - 1, band,
                [&out](const PeerDescriptor& e) { out.push_back(e); });
   // Our own fresh descriptor always travels along: the target must learn
@@ -231,7 +230,7 @@ void Vicinity::handleRequestImpl(NodeId self, const net::Message& msg,
   reply.kind = net::MessageKind::VicinityReply;
   reply.channel = params_.channel;
   reply.from = self;
-  offerInto(self, msg.from, profileOf(msg.from), pool, band, reply.entries);
+  offerInto(self, msg.from, pool, band, reply.entries);
   transport.send(msg.from, std::move(reply));
 
   mergeByProximity(self, msg.entries, pool, band);

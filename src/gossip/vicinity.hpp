@@ -149,7 +149,7 @@ class Vicinity final : public sim::CycleProtocol,
   /// outbox slot it circulates through — never holds more than the
   /// trimmed offer. Both are cleared first; steady state allocates
   /// nothing.
-  void offerInto(NodeId self, NodeId target, SequenceId targetProfile,
+  void offerInto(NodeId self, NodeId target,
                  std::vector<PeerDescriptor>& pool, RingBand& band,
                  std::vector<PeerDescriptor>& out) const;
 
