@@ -297,7 +297,7 @@ def print_comparison(result):
           f"{result['failed_share']['change']:.4g}")
     print(f"  {'metric':<22} {'parent q1/med/q3':<30} "
           f"{'change q1/med/q3':<30} {'change':>8} {'wins':>6}  verdict")
-    for row in result["end_to_end"] + result.get("host_probe", []):
+    for row in result["end_to_end"] + result["host_probe"]:
         if row.get("verdict") == "missing":
             print(f"  {row['metric']:<22} missing")
             continue

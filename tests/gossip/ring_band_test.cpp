@@ -347,6 +347,18 @@ TEST(RingBandOracle, TiesGoToTheLowerNodeIdAndDistanceZeroComesFirst) {
   EXPECT_EQ(band.predecessors()[0].node, 8u);  // 90 wraps: farthest key
 }
 
+TEST(RingBandOracle, CandidatesOutsideTheProfileTableAreRefused) {
+  // Every key reads the table once, bounds-checked: a node id the table
+  // does not cover throws instead of reading past it.
+  const Profiles profiles(4, 7);
+  const std::vector<PeerDescriptor> pool{{1, 0}, {4, 0}, {2, 0}};
+  RingBand band;
+  EXPECT_THROW(band.select(0, pool, profiles, 1, 1, pool.size()),
+               ContractViolation);
+  EXPECT_THROW(bandOf(0, pool, profiles, pool.size(), 1, band),
+               ContractViolation);
+}
+
 // -- Vicinity::ringBand on live views ---------------------------------------
 
 TEST(RingBandOracle, VicinityRingBandMatchesTheSortDefinition) {
