@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,20 @@ auto argOrExit(Fn&& fn) -> decltype(fn()) {
   }
 }
 
+/// The --engine-threads value (0 = the sequential engine), checked
+/// against Scenario::kMaxEngineThreads before any engine is built; out of
+/// range, every bench exits 2 with the same message.
+inline std::uint32_t engineThreadsOrExit(const CliArgs& args) {
+  return static_cast<std::uint32_t>(argOrExit([&] {
+    const std::uint64_t threads = args.getUint("engine-threads", 0);
+    if (threads > analysis::Scenario::kMaxEngineThreads)
+      throw std::invalid_argument(
+          "--engine-threads must be between 0 and " +
+          std::to_string(analysis::Scenario::kMaxEngineThreads));
+    return threads;
+  }));
+}
+
 /// Prints the bench banner: what figure this regenerates and at what scale.
 inline void printHeader(const std::string& figure, const std::string& paperNote,
                         const Scale& scale) {
@@ -212,7 +227,7 @@ inline analysis::Scenario buildStatic(const Scale& scale,
 /// The paper's §7.3 churn warm-up: build, warm up, churn at `rate` until
 /// the entire initial population has been replaced (capped). `quiet`
 /// suppresses the progress line (for parallel experiment builds); use
-/// scenario.churnCycles() / engine().cycle() for the churn-phase length
+/// scenario.churnCycles() / cyclesRun() for the churn-phase length
 /// and the freeze cycle.
 inline analysis::Scenario buildChurned(const Scale& scale, double rate,
                                        std::uint64_t extraSeed,

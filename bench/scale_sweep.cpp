@@ -31,7 +31,6 @@
 // latency cycles are ticksPerCycle timer ticks.
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -202,14 +201,7 @@ int main(int argc, char** argv) {
   const bool explicitNodes = args->get("nodes").has_value();
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/100'000,
                                          /*quickRuns=*/1);
-  const auto engineThreads = static_cast<std::uint32_t>(bench::argOrExit(
-      [&] {
-        const std::uint64_t threads = args->getUint("engine-threads", 0);
-        if (threads > 256)
-          throw std::invalid_argument(
-              "--engine-threads must be between 0 and 256");
-        return threads;
-      }));
+  const auto engineThreads = bench::engineThreadsOrExit(*args);
   std::vector<std::uint32_t> axis;
   if (explicitNodes)
     axis = {scale.nodes};

@@ -159,13 +159,7 @@ int main(int argc, char** argv) {
     searchVocabulary.push_back(choice);
   const auto searchChoice = bench::argOrExit(
       [&] { return args->getChoice("search", searchVocabulary, 0); });
-  const auto engineThreads =
-      static_cast<std::uint32_t>(bench::argOrExit([&] {
-        const auto threads = args->getUint("engine-threads", 0);
-        if (threads > 4096)
-          throw std::invalid_argument("--engine-threads must be <= 4096");
-        return threads;
-      }));
+  const auto engineThreads = bench::engineThreadsOrExit(*args);
 
   std::vector<SearchStrategy> strategies;
   if (searchChoice == 0)

@@ -25,7 +25,6 @@
 // (series "<model>_thread_scaling"). Live waves are a sequential-engine
 // feature and are skipped in sharded runs.
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -222,13 +221,6 @@ int main(int argc, char** argv) {
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/1'000,
                                          /*quickRuns=*/10);
   const auto models = bench::argOrExit([&] { return selectModels(*args); });
-  const auto engineThreads = static_cast<std::uint32_t>(bench::argOrExit(
-      [&] {
-        const std::uint64_t threads = args->getUint("engine-threads", 0);
-        if (threads > 256)
-          throw std::invalid_argument(
-              "--engine-threads must be between 0 and 256");
-        return threads;
-      }));
+  const auto engineThreads = bench::engineThreadsOrExit(*args);
   return run(scale, models, engineThreads);
 }

@@ -117,7 +117,7 @@ class ParallelSweep {
   // -- miss lifetimes (Fig. 13) -----------------------------------------
 
   /// Lifetimes are taken at `nowCycle`; the Scenario shape uses the
-  /// scenario's cyclesRun(), the clock of whichever engine is active.
+  /// scenario's cyclesRun(), the clock of its one engine.
   MissLifetimeStudy measureMissLifetimes(const cast::OverlaySnapshot& overlay,
                                          const cast::TargetSelector& selector,
                                          const sim::Network& network,

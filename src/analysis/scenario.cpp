@@ -10,27 +10,31 @@ namespace vs07::analysis {
 /// this-capturing delivery lambdas stay valid. Member order mirrors the
 /// construction dependencies (and the former ProtocolStack, preserving
 /// its seed derivation so results stay reproducible across the refactor).
+/// Exactly one engine is built, and `driver` runs every cycle on it.
 struct Scenario::Core {
   Config config;
   sim::Network network;
   sim::MessageRouter router;
   net::ImmediateTransport transport;
-  sim::Engine engine;
+  /// The sequential engine; built only when config.engineThreads == 0.
+  std::unique_ptr<sim::Engine> engine;
   /// Built when any link-level condition is configured (loss,
   /// partitions, clusters, bandwidth, ...); attached to the latency
   /// transport below.
   std::unique_ptr<sim::NetworkModel> model;
-  /// Built when the timing config carries a latency model *or* network
-  /// conditions exist; gossip and dissemination then both ride the
-  /// engine's event queue (the only place per-link conditions can be
-  /// resolved at delivery-scheduling time).
+  /// Built on the sequential engine when the timing config carries a
+  /// latency model *or* network conditions exist; gossip and
+  /// dissemination then both ride the engine's event queue (the only
+  /// place per-link conditions can be resolved at delivery-scheduling
+  /// time). Sharded protocols send through the engine's barrier senders
+  /// and never use it.
   std::unique_ptr<sim::LatencyTransport> latency;
   gossip::Cyclon cyclon;
   gossip::MultiRing rings;
-  /// Built when config.engineThreads >= 1; then *it* drives the cycles
-  /// (the sequential engine above stays idle) and protocols/controls are
-  /// registered here instead.
+  /// Built when config.engineThreads >= 1, in place of `engine`.
   std::unique_ptr<sim::ShardedEngine> sharded;
+  /// The engine that runs: *engine or *sharded.
+  sim::CycleDriver* driver = nullptr;
   std::unique_ptr<sim::ChurnControl> churn;
   std::unique_ptr<sim::SessionChurnControl> sessionChurn;
   std::unique_ptr<cast::LiveSession> live;
@@ -43,62 +47,61 @@ struct Scenario::Core {
         network(c.nodes, sim::populationSeed(c.seed)),
         router(network),
         transport(router),  // direct sink: no std::function on the hot path
-        engine(network, mix64(c.seed ^ 0x656E67ULL), c.timing),
-        model(c.network.any()
+        engine(c.engineThreads == 0
+                   ? std::make_unique<sim::Engine>(
+                         network, mix64(c.seed ^ 0x656E67ULL), c.timing)
+                   : nullptr),
+        model(engine && c.network.any()
                   ? std::make_unique<sim::NetworkModel>(
                         c.network, network, c.timing.ticksPerCycle,
                         mix64(c.seed ^ 0x6E65746DULL))  // "netm"
                   : nullptr),
-        latency(c.timing.latency.kind == sim::LatencyModel::Kind::kNone &&
-                        !model
-                    ? nullptr
-                    : std::make_unique<sim::LatencyTransport>(
-                          engine, router, c.timing.latency,
-                          mix64(c.seed ^ 0x6C6174ULL))),
+        latency(engine && (c.timing.latency.kind !=
+                               sim::LatencyModel::Kind::kNone ||
+                           model)
+                    ? std::make_unique<sim::LatencyTransport>(
+                          *engine, router, c.timing.latency,
+                          mix64(c.seed ^ 0x6C6174ULL))
+                    : nullptr),
         cyclon(network, activeTransport(), router, c.cyclon,
                mix64(c.seed ^ 0x6379636CULL)),
         rings(network, activeTransport(), router, cyclon, c.vicinity, c.rings,
               mix64(c.seed ^ 0x72696E67ULL)),
         killRng(mix64(c.seed ^ 0xFA11EDULL)) {
-    if (model) latency->setNetworkModel(model.get());
-    if (c.engineThreads >= 1) {
-      // ShardedEngine enforces its own timing rules; link conditions are
-      // a Scenario concern (they resolve on the sequential transport).
-      VS07_EXPECT(!c.network.any() &&
-                  "the sharded engine runs without link-level network "
-                  "conditions");
-      sharded = std::make_unique<sim::ShardedEngine>(
-          network, mix64(c.seed ^ 0x73686172ULL),  // "shar"
-          c.engineThreads, c.timing);
-      sharded->addProtocol(cyclon);
-      sharded->addProtocol(rings);
-    } else {
-      engine.addProtocol(cyclon);
-      engine.addProtocol(rings);
+    if (engine) {
+      if (model) latency->setNetworkModel(model.get());
+      engine->addProtocol(cyclon);
+      engine->addProtocol(rings);
+      driver = engine.get();
+      return;
     }
+    // ShardedEngine enforces its own timing rules; link conditions are a
+    // Scenario concern (they resolve on the sequential transport).
+    VS07_EXPECT(!c.network.any() &&
+                "the sharded engine runs without link-level network "
+                "conditions");
+    sharded = std::make_unique<sim::ShardedEngine>(
+        network, mix64(c.seed ^ 0x73686172ULL),  // "shar"
+        c.engineThreads, c.timing);
+    sharded->addProtocol(cyclon);
+    sharded->addProtocol(rings);
+    driver = sharded.get();
   }
 
-  /// The transport gossip and dissemination ride on: immediate (the
-  /// paper's cycle model) unless the config asked for message latency or
-  /// network conditions.
+  /// The sequential engine; a sharded scenario has none.
+  sim::Engine& sequentialEngine() const {
+    VS07_EXPECT(engine &&
+                "a sharded scenario has no sequential engine; use "
+                "shardedEngine()");
+    return *engine;
+  }
+
+  /// The transport the sequential engine's gossip and dissemination ride
+  /// on: immediate (the paper's cycle model) unless the config asked for
+  /// message latency or network conditions.
   net::Transport& activeTransport() {
     if (latency) return *latency;
     return transport;
-  }
-
-  /// Cycle-boundary controls go to whichever engine actually runs.
-  void addControlToActive(sim::Control& control) {
-    if (sharded)
-      sharded->addControl(control);
-    else
-      engine.addControl(control);
-  }
-
-  void runActive(std::uint64_t cycles) {
-    if (sharded)
-      sharded->run(cycles);
-    else
-      engine.run(cycles);
   }
 
   void installChurn(double rate) {
@@ -114,7 +117,7 @@ struct Scenario::Core {
     installedChurnRate = rate;
     churn->addJoinHandler(cyclon);
     churn->addJoinHandler(rings);
-    addControlToActive(*churn);
+    driver->addControl(*churn);
   }
 
   void installSessionChurn(const sim::SessionDistribution& distribution) {
@@ -124,7 +127,7 @@ struct Scenario::Core {
         network, distribution, mix64(config.seed ^ 0x636875726EULL));
     sessionChurn->addJoinHandler(cyclon);
     sessionChurn->addJoinHandler(rings);
-    addControlToActive(*sessionChurn);
+    driver->addControl(*sessionChurn);
   }
 };
 
@@ -196,18 +199,16 @@ Scenario Scenario::congested(std::uint32_t egressPerTick, std::uint32_t nodes,
 
 void Scenario::warmup() {
   sim::bootstrapStar(core_->network, core_->cyclon, /*hub=*/0);
-  core_->runActive(core_->config.warmupCycles);
+  core_->driver->run(core_->config.warmupCycles);
 }
 
-void Scenario::runCycles(std::uint64_t cycles) { core_->runActive(cycles); }
+void Scenario::runCycles(std::uint64_t cycles) { core_->driver->run(cycles); }
 
 std::uint64_t Scenario::runChurnUntilFullTurnover(double rate,
                                                   std::uint64_t maxCycles) {
   core_->installChurn(rate);
   const auto done = [this] { return core_->network.initialSurvivors() == 0; };
-  const auto ran = core_->sharded
-                       ? core_->sharded->runUntil(done, maxCycles)
-                       : core_->engine.runUntil(done, maxCycles);
+  const auto ran = core_->driver->runUntil(done, maxCycles);
   core_->churnCycles += ran;
   return ran;
 }
@@ -234,8 +235,10 @@ sim::Network& Scenario::network() noexcept { return core_->network; }
 const sim::Network& Scenario::network() const noexcept {
   return core_->network;
 }
-sim::Engine& Scenario::engine() noexcept { return core_->engine; }
-const sim::Engine& Scenario::engine() const noexcept { return core_->engine; }
+sim::Engine& Scenario::engine() { return core_->sequentialEngine(); }
+const sim::Engine& Scenario::engine() const {
+  return core_->sequentialEngine();
+}
 sim::ShardedEngine* Scenario::shardedEngine() noexcept {
   return core_->sharded.get();
 }
@@ -243,7 +246,7 @@ const sim::ShardedEngine* Scenario::shardedEngine() const noexcept {
   return core_->sharded.get();
 }
 std::uint64_t Scenario::cyclesRun() const noexcept {
-  return core_->sharded ? core_->sharded->cycle() : core_->engine.cycle();
+  return core_->driver->cycle();
 }
 std::uint64_t Scenario::gossipMessagesSent() const noexcept {
   if (core_->sharded) return core_->sharded->messagesSent();
@@ -325,8 +328,9 @@ cast::LiveSession& Scenario::liveSession(cast::CastOptions options) {
   VS07_EXPECT(!core_->live &&
               "one live session per scenario (it owns the Data routes)");
   core_->live = std::make_unique<cast::LiveSession>(
-      core_->network, core_->activeTransport(), core_->router, core_->engine,
-      core_->cyclon, &core_->rings.ring(0), &core_->rings, options);
+      core_->network, core_->activeTransport(), core_->router,
+      core_->sequentialEngine(), core_->cyclon, &core_->rings.ring(0),
+      &core_->rings, options);
   return *core_->live;
 }
 
@@ -341,7 +345,7 @@ ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t s) {
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::engineThreads(std::uint32_t threads) {
-  VS07_EXPECT(threads <= 256);
+  VS07_EXPECT(threads <= Scenario::kMaxEngineThreads);
   config_.engineThreads = threads;
   return *this;
 }

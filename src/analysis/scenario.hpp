@@ -1,14 +1,16 @@
 // Scenario — one fully wired simulated system behind a fluent builder.
 //
 // A Scenario composes everything an experiment needs: the population,
-// CYCLON (r-links), one-or-more VICINITY rings (d-links), the simulation
-// engine, the one transport all simulated traffic rides (immediate, or
-// the engine-queue LatencyTransport when latency or network conditions
-// are set), and an optional churn model; `build()` also runs the paper's
-// §7 star bootstrap + warm-up so the returned object is ready to
-// disseminate. Dissemination itself goes through cast::CastSession:
-// snapshotSession() freezes the overlay for the paper's §7.1 model,
-// liveSession() runs push (+ optional §8 pull) through the transport.
+// CYCLON (r-links), one-or-more VICINITY rings (d-links), one simulation
+// engine (the sequential Engine, or the ShardedEngine when
+// engineThreads >= 1), the one transport all sequential traffic rides
+// (immediate, or the engine-queue LatencyTransport when latency or
+// network conditions are set), and an optional churn model; `build()`
+// also runs the paper's §7 star bootstrap + warm-up so the returned
+// object is ready to disseminate. Dissemination itself goes through
+// cast::CastSession: snapshotSession() freezes the overlay for the
+// paper's §7.1 model, liveSession() runs push (+ optional §8 pull)
+// through the transport.
 // Presets reproduce the paper's three evaluation settings.
 //
 //   auto scenario = analysis::Scenario::builder()
@@ -63,21 +65,23 @@ class Scenario {
     /// build() runs bootstrap + warm-up unless cleared (noWarmup()).
     bool warmOnBuild = true;
 
-    /// 0 = the classic sequential Engine. >= 1 selects the sharded
-    /// engine with that many worker threads (sim/sharded_engine.hpp);
-    /// results are bit-identical for any value >= 1, so determinism
-    /// tests can compare 1 vs 8. Supports CycleSync (latency-free) and
-    /// JitteredPeriodic timing with or without a LatencyModel;
-    /// link-level network conditions remain sequential-only, as do live
-    /// sessions.
+    /// 0 = the classic sequential Engine. >= 1 (up to kMaxEngineThreads)
+    /// builds the sharded engine with that many worker threads
+    /// (sim/sharded_engine.hpp) instead; results are bit-identical for
+    /// any value >= 1, so determinism tests can compare 1 vs 8. Supports
+    /// CycleSync (latency-free) and JitteredPeriodic timing with or
+    /// without a LatencyModel; link-level network conditions remain
+    /// sequential-only, as do live sessions.
     std::uint32_t engineThreads = 0;
 
     // -- timing model (engine timers + optional message latency) --------
     /// CycleSync by default (the paper's evaluation model). When
     /// timing.latency is set, *all* simulated traffic — gossip exchanges
-    /// and dissemination alike — rides a LatencyTransport scheduled on
-    /// the engine's event queue, so delay shapes overlay construction
-    /// too, which is exactly the §7 claim worth testing.
+    /// and dissemination alike — is delayed: on the sequential engine it
+    /// rides a LatencyTransport scheduled on the event queue, and the
+    /// sharded engine draws each send's latency itself. Delay thus
+    /// shapes overlay construction too, which is exactly the §7 claim
+    /// worth testing.
     sim::TimingConfig timing{};
 
     // -- link-level network conditions (sim/network_model.hpp) ----------
@@ -96,6 +100,9 @@ class Scenario {
     // -- default query workload (querySession() with no arguments) ------
     search::QueryOptions query{};
   };
+
+  /// The most sharded-engine workers a scenario accepts.
+  static constexpr std::uint32_t kMaxEngineThreads = 256;
 
   static ScenarioBuilder builder();
 
@@ -187,13 +194,15 @@ class Scenario {
   const sim::TimingConfig& timing() const noexcept;
   sim::Network& network() noexcept;
   const sim::Network& network() const noexcept;
-  sim::Engine& engine() noexcept;
-  const sim::Engine& engine() const noexcept;
+  /// The sequential engine all cycles run on. A sharded scenario builds
+  /// none, so there this throws ContractViolation; use shardedEngine().
+  sim::Engine& engine();
+  const sim::Engine& engine() const;
   /// Non-null when the builder chose engineThreads(n >= 1): the parallel
-  /// engine all cycles run on instead of engine().
+  /// engine all cycles run on, the scenario's only engine.
   sim::ShardedEngine* shardedEngine() noexcept;
   const sim::ShardedEngine* shardedEngine() const noexcept;
-  /// Completed gossip cycles on whichever engine is active.
+  /// Completed gossip cycles on the scenario's engine.
   std::uint64_t cyclesRun() const noexcept;
   /// Messages sent so far on the scenario's transport, gossip and
   /// live-session traffic alike; on the sharded engine, the messages its
@@ -206,9 +215,10 @@ class Scenario {
   const gossip::MultiRing& rings() const noexcept;
   /// Ring 0's VICINITY instance (the RINGCAST ring).
   const gossip::Vicinity& vicinity() const;
-  /// Non-null when the timing config carries a latency model or any
-  /// network condition is configured: the engine-queue transport all
-  /// simulated traffic rides on.
+  /// Non-null on the sequential engine when the timing config carries a
+  /// latency model or any network condition is configured: the
+  /// engine-queue transport all simulated traffic rides on. Always null
+  /// on a sharded scenario, whose engine draws latency itself.
   sim::LatencyTransport* latencyTransport() noexcept;
   /// Non-null when the builder configured link-level network conditions
   /// (loss, partitions, clusters, bandwidth, ...). Counters on the model
@@ -276,9 +286,10 @@ class ScenarioBuilder {
   ScenarioBuilder& nodes(std::uint32_t n);
   ScenarioBuilder& seed(std::uint64_t s);
   /// Run all cycles on the sharded engine with `threads` workers
-  /// (bit-identical for any threads >= 1). Supports CycleSync and the
-  /// jittered timing modes, including message latency; network
-  /// conditions stay sequential-only.
+  /// (bit-identical for any threads >= 1; at most
+  /// Scenario::kMaxEngineThreads). Supports CycleSync and the jittered
+  /// timing modes, including message latency; network conditions stay
+  /// sequential-only.
   ScenarioBuilder& engineThreads(std::uint32_t threads);
   ScenarioBuilder& rings(std::uint32_t count);
   ScenarioBuilder& warmupCycles(std::uint32_t cycles);

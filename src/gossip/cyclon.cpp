@@ -6,21 +6,16 @@ namespace vs07::gossip {
 
 Cyclon::Cyclon(sim::Network& network, net::Transport& transport,
                sim::MessageRouter& router, Params params, std::uint64_t seed)
-    : transport_(transport),
-      params_(params),
-      rng_(seed) {
+    : params_(params), shuffles_(1, 0), own_(0, transport, seed) {
   VS07_EXPECT(params_.viewLength > 0);
   VS07_EXPECT(params_.shuffleLength > 0);
   VS07_EXPECT(params_.shuffleLength <= params_.viewLength);
   VS07_EXPECT(params_.shuffleLength <= 255);  // pendingCount_ is a byte
-  router.route(net::MessageKind::CyclonRequest,
-               [this](NodeId to, const net::Message& m) {
-                 handleRequest(to, m);
-               });
-  router.route(net::MessageKind::CyclonReply,
-               [this](NodeId to, const net::Message& m) {
-                 handleReply(to, m);
-               });
+  const auto deliver = [this](NodeId to, const net::Message& m) {
+    shardDeliver(to, m, own_);
+  };
+  router.route(net::MessageKind::CyclonRequest, deliver);
+  router.route(net::MessageKind::CyclonReply, deliver);
   network.addObserver(*this);  // sizes views_ via onSpawn callbacks
 }
 
@@ -80,15 +75,9 @@ const View& Cyclon::view(NodeId node) const {
   return views_[node];
 }
 
-void Cyclon::step(NodeId self) {
-  stepImpl(self, rng_, transport_, requestScratch_, sampleScratch_,
-           shuffles_);
-}
+void Cyclon::step(NodeId self) { shardStep(self, own_); }
 
-void Cyclon::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
-                      net::Message& requestScratch,
-                      std::vector<PeerDescriptor>& sampleScratch,
-                      std::uint64_t& shuffleCounter) {
+void Cyclon::shardStep(NodeId self, sim::ShardContext& ctx) {
   View& v = views_[self];
   v.incrementAges();
   if (v.empty()) return;  // isolated node: nothing to shuffle with
@@ -99,15 +88,16 @@ void Cyclon::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
   v.removeAt(qIndex);
 
   // 3. Random subset of g-1 other entries, plus a fresh self-descriptor.
-  // The sample is staged in `sampleScratch` — randomEntriesInto copies
+  // The sample is staged in the pool scratch — randomEntriesInto copies
   // the whole view before the partial shuffle, and a message buffer that
   // briefly held viewLength entries keeps that capacity in whichever
   // outbox slot it circulates into (a per-slot cost at scale).
-  net::Message& request = requestScratch;
+  net::Message& request = ctx.messageScratch();
   request.reset();
-  v.randomEntriesInto(params_.shuffleLength - 1, /*exclude=*/q, rng,
-                      sampleScratch);
-  request.entries.assign(sampleScratch.begin(), sampleScratch.end());
+  auto& sample = ctx.poolScratch();
+  v.randomEntriesInto(params_.shuffleLength - 1, /*exclude=*/q, ctx.rng(),
+                      sample);
+  request.entries.assign(sample.begin(), sample.end());
   NodeId* sent = &pendingSent_[std::size_t{self} * params_.shuffleLength];
   std::uint8_t sentCount = 0;
   for (const auto& e : request.entries) sent[sentCount++] = e.node;
@@ -116,60 +106,46 @@ void Cyclon::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
 
   request.kind = net::MessageKind::CyclonRequest;
   request.from = self;
-  ++shuffleCounter;
-  transport.send(q, std::move(request));
+  ++shuffles_[ctx.shard()];
+  ctx.transport().send(q, std::move(request));
   // If q is dead or the message is lost, no reply ever comes back:
   // the oldest entry is already gone and pendingSent_ is simply
   // overwritten by the next shuffle. That *is* CYCLON's failure handling.
 }
 
-void Cyclon::handleRequest(NodeId self, const net::Message& msg) {
-  handleRequestImpl(self, msg, rng_, transport_, replyScratch_,
-                    sampleScratch_, replySentScratch_);
-}
-
-void Cyclon::handleRequestImpl(NodeId self, const net::Message& msg, Rng& rng,
-                               net::Transport& transport,
-                               net::Message& replyScratch,
-                               std::vector<PeerDescriptor>& sampleScratch,
-                               std::vector<NodeId>& sentScratch) {
+void Cyclon::handleRequest(NodeId self, const net::Message& msg,
+                           sim::ShardContext& ctx) {
   View& v = views_[self];
   // Reply with up to g random entries (excluding any entry for the
   // initiator: it would be discarded at the other end anyway). Staged in
-  // scratch for the same slot-capacity reason as stepImpl.
-  net::Message& reply = replyScratch;
+  // scratch for the same slot-capacity reason as shardStep.
+  net::Message& reply = ctx.replyScratch();
   reply.reset();
-  v.randomEntriesInto(params_.shuffleLength, /*exclude=*/msg.from, rng,
-                      sampleScratch);
-  reply.entries.assign(sampleScratch.begin(), sampleScratch.end());
-  auto& sentIds = sentScratch;
+  auto& sample = ctx.poolScratch();
+  v.randomEntriesInto(params_.shuffleLength, /*exclude=*/msg.from, ctx.rng(),
+                      sample);
+  reply.entries.assign(sample.begin(), sample.end());
+  auto& sentIds = ctx.idScratch();
   sentIds.clear();
   for (const auto& e : reply.entries) sentIds.push_back(e.node);
 
   reply.kind = net::MessageKind::CyclonReply;
   reply.from = self;
-  transport.send(msg.from, std::move(reply));
+  ctx.transport().send(msg.from, std::move(reply));
 
   std::size_t live = sentIds.size();
   merge(self, msg.entries, sentIds, live);
 }
 
 void Cyclon::onShardedAttach(std::uint32_t shardCount) {
-  shardShuffles_.assign(shardCount, 0);
-}
-
-void Cyclon::shardStep(NodeId self, sim::ShardContext& ctx) {
-  stepImpl(self, ctx.rng(), ctx.transport(), ctx.messageScratch(),
-           ctx.poolScratch(), shardShuffles_[ctx.shard()]);
+  if (shuffles_.size() < shardCount) shuffles_.resize(shardCount, 0);
 }
 
 bool Cyclon::shardDeliver(NodeId to, const net::Message& msg,
                           sim::ShardContext& ctx) {
   switch (msg.kind) {
     case net::MessageKind::CyclonRequest:
-      handleRequestImpl(to, msg, ctx.rng(), ctx.transport(),
-                        ctx.messageScratch(), ctx.poolScratch(),
-                        ctx.idScratch());
+      handleRequest(to, msg, ctx);
       return true;
     case net::MessageKind::CyclonReply:
       handleReply(to, msg);
@@ -180,8 +156,8 @@ bool Cyclon::shardDeliver(NodeId to, const net::Message& msg,
 }
 
 std::uint64_t Cyclon::shufflesInitiated() const noexcept {
-  std::uint64_t total = shuffles_;
-  for (const auto count : shardShuffles_) total += count;
+  std::uint64_t total = 0;
+  for (const auto count : shuffles_) total += count;
   return total;
 }
 

@@ -53,12 +53,14 @@ class Cyclon final : public sim::CycleProtocol,
   Cyclon(const Cyclon&) = delete;
   Cyclon& operator=(const Cyclon&) = delete;
 
-  // sim::CycleProtocol — one active shuffle.
+  // sim::CycleProtocol — one active shuffle, on the instance's own
+  // context (see sim/sharded.hpp).
   void step(NodeId self) override;
 
-  // sim::ShardedProtocol — same shuffle under the sharded engine, drawing
-  // from the acting node's derived RNG stream and the worker's scratch
-  // instead of the instance-wide ones.
+  // sim::ShardedProtocol — the shuffle and its handlers, one body each.
+  // The sharded engine passes a worker's context (the acting node's
+  // derived RNG stream, the worker's scratch); step() and the router
+  // routes pass the instance's own.
   void onShardedAttach(std::uint32_t shardCount) override;
   void shardStep(NodeId self, sim::ShardContext& ctx) override;
   bool shardDeliver(NodeId to, const net::Message& msg,
@@ -94,21 +96,9 @@ class Cyclon final : public sim::CycleProtocol,
   std::uint64_t shufflesInitiated() const noexcept;
 
  private:
-  void handleRequest(NodeId self, const net::Message& msg);
+  void handleRequest(NodeId self, const net::Message& msg,
+                     sim::ShardContext& ctx);
   void handleReply(NodeId self, const net::Message& msg);
-
-  /// The shuffle/handler bodies, parameterized on the RNG and scratch so
-  /// the sequential paths (instance members — bit-for-bit the historical
-  /// behaviour) and the sharded paths (per-node stream, per-worker
-  /// scratch) share one implementation.
-  void stepImpl(NodeId self, Rng& rng, net::Transport& transport,
-                net::Message& requestScratch,
-                std::vector<PeerDescriptor>& sampleScratch,
-                std::uint64_t& shuffleCounter);
-  void handleRequestImpl(NodeId self, const net::Message& msg, Rng& rng,
-                         net::Transport& transport, net::Message& replyScratch,
-                         std::vector<PeerDescriptor>& sampleScratch,
-                         std::vector<NodeId>& sentScratch);
 
   /// CYCLON merge: insert `received` into `self`'s view, skipping self-
   /// descriptors and duplicates, filling free slots first and then
@@ -119,9 +109,7 @@ class Cyclon final : public sim::CycleProtocol,
 
   PeerDescriptor selfDescriptor(NodeId node) const;
 
-  net::Transport& transport_;
   Params params_;
-  Rng rng_;
   std::vector<View> views_;
   /// Ids sent in the outstanding shuffle request of each node (consumed by
   /// the merge when the reply arrives). Flat fixed-stride storage —
@@ -130,21 +118,12 @@ class Cyclon final : public sim::CycleProtocol,
   /// g-1 ids, which dominates the ids themselves at millions of nodes.
   std::vector<NodeId> pendingSent_;
   std::vector<std::uint8_t> pendingCount_;
-  /// Exchange scratch (one set per protocol instance, not per exchange):
-  /// messages are reset()+refilled each time, so their entry buffers are
-  /// recycled and a steady-state shuffle allocates nothing. Safe because
-  /// the simulation is single-threaded and a request chain never nests
-  /// inside another request chain of the same instance.
-  net::Message requestScratch_;
-  net::Message replyScratch_;
-  /// Pre-sample staging for randomEntriesInto (see stepImpl): message
-  /// buffers never hold more than the shuffle subset.
-  std::vector<PeerDescriptor> sampleScratch_;
-  std::vector<NodeId> replySentScratch_;
-  std::uint64_t shuffles_ = 0;
-  /// Sharded-mode shuffle counters, one per shard (no cross-worker
-  /// contention; summed into shufflesInitiated()).
-  std::vector<std::uint64_t> shardShuffles_;
+  /// Shuffles initiated per shard (no cross-worker contention; summed
+  /// into shufflesInitiated()). Slot 0 also counts own_'s steps.
+  std::vector<std::uint64_t> shuffles_;
+  /// The context step() and the router routes run on: shard 0, the
+  /// instance transport, one RNG stream from the instance seed.
+  sim::ShardContext own_;
 };
 
 }  // namespace vs07::gossip

@@ -8,27 +8,23 @@ namespace vs07::gossip {
 Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
                    sim::MessageRouter& router, const Cyclon& cyclon,
                    Params params, std::uint64_t seed, ProfileFn profile)
-    : transport_(transport),
-      cyclon_(cyclon),
+    : cyclon_(cyclon),
       params_(params),
-      rng_(seed),
-      profile_(std::move(profile)) {
+      profile_(std::move(profile)),
+      own_(0, transport, seed) {
   VS07_EXPECT(params_.viewLength > 0);
   VS07_EXPECT(params_.exchangeLength > 0);
   // Sized for both bands an exchange forms: the merged view and the offer.
   const std::size_t budget =
       std::max(params_.viewLength, params_.exchangeLength - 1);
-  band_ = RingBand((budget + 1) / 2, budget / 2);
+  bands_.emplace_back((budget + 1) / 2, budget / 2);
   if (!profile_)
     profile_ = [&network](NodeId n) { return network.seqId(n); };
-  router.route(
-      net::MessageKind::VicinityRequest,
-      [this](NodeId to, const net::Message& m) { handleRequest(to, m); },
-      params_.channel);
-  router.route(
-      net::MessageKind::VicinityReply,
-      [this](NodeId to, const net::Message& m) { handleReply(to, m); },
-      params_.channel);
+  const auto deliver = [this](NodeId to, const net::Message& m) {
+    shardDeliver(to, m, own_);
+  };
+  router.route(net::MessageKind::VicinityRequest, deliver, params_.channel);
+  router.route(net::MessageKind::VicinityReply, deliver, params_.channel);
   network.addObserver(*this);
 }
 
@@ -140,13 +136,9 @@ std::vector<NodeId> Vicinity::ringBand(NodeId node,
   return result;
 }
 
-void Vicinity::step(NodeId self) {
-  stepImpl(self, rng_, transport_, requestScratch_, poolScratch_, band_);
-}
+void Vicinity::step(NodeId self) { shardStep(self, own_); }
 
-void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
-                        net::Message& requestScratch,
-                        std::vector<PeerDescriptor>& pool, RingBand& band) {
+void Vicinity::shardStep(NodeId self, sim::ShardContext& ctx) {
   View& v = views_[self];
   ++stepCount_[self];
 
@@ -165,6 +157,7 @@ void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
   // Partner selection: alternate between exploiting the proximity view
   // (oldest entry, keeps close neighbourhoods fresh) and exploring via a
   // random CYCLON peer (feeds fresh candidates; lets joiners bootstrap).
+  Rng& rng = ctx.rng();
   NodeId q = kNoNode;
   const View& randomLayer = cyclon_.view(self);
   const bool exploit = !v.empty() && (randomLayer.empty() || rng.chance(0.5));
@@ -175,14 +168,14 @@ void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
   }
   if (q == kNoNode) return;  // no peers at all
 
-  net::Message& request = requestScratch;
+  net::Message& request = ctx.messageScratch();
   request.reset();
   request.kind = net::MessageKind::VicinityRequest;
   request.channel = params_.channel;
   request.from = self;
-  offerInto(self, q, pool, band, request.entries);
+  offerInto(self, q, ctx.poolScratch(), bands_[ctx.shard()], request.entries);
   pendingTarget_[self] = q;
-  transport.send(q, std::move(request));
+  ctx.transport().send(q, std::move(request));
 }
 
 void Vicinity::offerInto(NodeId self, NodeId target,
@@ -215,45 +208,31 @@ void Vicinity::offerInto(NodeId self, NodeId target,
   out.push_back(selfDescriptor(self));
 }
 
-void Vicinity::handleRequest(NodeId self, const net::Message& msg) {
-  handleRequestImpl(self, msg, transport_, replyScratch_, poolScratch_,
-                    band_);
-}
-
-void Vicinity::handleRequestImpl(NodeId self, const net::Message& msg,
-                                 net::Transport& transport,
-                                 net::Message& replyScratch,
-                                 std::vector<PeerDescriptor>& pool,
-                                 RingBand& band) {
-  net::Message& reply = replyScratch;
+void Vicinity::handleRequest(NodeId self, const net::Message& msg,
+                             sim::ShardContext& ctx) {
+  net::Message& reply = ctx.replyScratch();
   reply.reset();
   reply.kind = net::MessageKind::VicinityReply;
   reply.channel = params_.channel;
   reply.from = self;
-  offerInto(self, msg.from, pool, band, reply.entries);
-  transport.send(msg.from, std::move(reply));
+  RingBand& band = bands_[ctx.shard()];
+  offerInto(self, msg.from, ctx.poolScratch(), band, reply.entries);
+  ctx.transport().send(msg.from, std::move(reply));
 
-  mergeByProximity(self, msg.entries, pool, band);
+  mergeByProximity(self, msg.entries, ctx.poolScratch(), band);
 }
 
-void Vicinity::handleReply(NodeId self, const net::Message& msg) {
-  handleReplyImpl(self, msg, poolScratch_, band_);
-}
-
-void Vicinity::handleReplyImpl(NodeId self, const net::Message& msg,
-                               std::vector<PeerDescriptor>& pool,
-                               RingBand& band) {
+void Vicinity::handleReply(NodeId self, const net::Message& msg,
+                           sim::ShardContext& ctx) {
   pendingTarget_[self] = kNoNode;  // partner is alive
-  mergeByProximity(self, msg.entries, pool, band);
+  mergeByProximity(self, msg.entries, ctx.poolScratch(),
+                   bands_[ctx.shard()]);
 }
 
 void Vicinity::onShardedAttach(std::uint32_t shardCount) {
-  shardBands_.assign(shardCount, band_);
-}
-
-void Vicinity::shardStep(NodeId self, sim::ShardContext& ctx) {
-  stepImpl(self, ctx.rng(), ctx.transport(), ctx.messageScratch(),
-           ctx.poolScratch(), shardBands_[ctx.shard()]);
+  // Copy the prototype first: resize may reallocate under a reference.
+  if (bands_.size() < shardCount)
+    bands_.resize(shardCount, RingBand(bands_.front()));
 }
 
 bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
@@ -261,11 +240,10 @@ bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
   if (msg.channel != params_.channel) return false;
   switch (msg.kind) {
     case net::MessageKind::VicinityRequest:
-      handleRequestImpl(to, msg, ctx.transport(), ctx.messageScratch(),
-                        ctx.poolScratch(), shardBands_[ctx.shard()]);
+      handleRequest(to, msg, ctx);
       return true;
     case net::MessageKind::VicinityReply:
-      handleReplyImpl(to, msg, ctx.poolScratch(), shardBands_[ctx.shard()]);
+      handleReply(to, msg, ctx);
       return true;
     default:
       return false;

@@ -76,11 +76,14 @@ class Vicinity final : public sim::CycleProtocol,
   Vicinity(const Vicinity&) = delete;
   Vicinity& operator=(const Vicinity&) = delete;
 
-  // sim::CycleProtocol — one active proximity exchange.
+  // sim::CycleProtocol — one active proximity exchange, on the
+  // instance's own context (see sim/sharded.hpp).
   void step(NodeId self) override;
 
-  // sim::ShardedProtocol — the same exchange under the sharded engine
-  // (per-node RNG stream, per-worker scratch, a band selector per shard).
+  // sim::ShardedProtocol — the exchange and its handlers, one body each,
+  // on the context they are given: a worker's under the sharded engine
+  // (per-node RNG stream, per-worker scratch), the instance's own from
+  // step() and the router routes. Each shard has its own band selector.
   // Claims only messages on this instance's channel, so multi-ring
   // dispatch works unchanged.
   void onShardedAttach(std::uint32_t shardCount) override;
@@ -124,22 +127,10 @@ class Vicinity final : public sim::CycleProtocol,
   const Params& params() const noexcept { return params_; }
 
  private:
-  void handleRequest(NodeId self, const net::Message& msg);
-  void handleReply(NodeId self, const net::Message& msg);
-
-  /// Step/handler bodies parameterized on RNG and scratch: the sequential
-  /// paths pass the instance members (bit-for-bit the historical
-  /// behaviour), the sharded paths pass the worker's ShardContext
-  /// resources and the shard's band selector.
-  void stepImpl(NodeId self, Rng& rng, net::Transport& transport,
-                net::Message& requestScratch,
-                std::vector<PeerDescriptor>& pool, RingBand& band);
-  void handleRequestImpl(NodeId self, const net::Message& msg,
-                         net::Transport& transport,
-                         net::Message& replyScratch,
-                         std::vector<PeerDescriptor>& pool, RingBand& band);
-  void handleReplyImpl(NodeId self, const net::Message& msg,
-                       std::vector<PeerDescriptor>& pool, RingBand& band);
+  void handleRequest(NodeId self, const net::Message& msg,
+                     sim::ShardContext& ctx);
+  void handleReply(NodeId self, const net::Message& msg,
+                   sim::ShardContext& ctx);
 
   /// Candidates = own vicinity view ∪ own cyclon view ∪ self descriptor,
   /// deduplicated, excluding `target`; the band of `exchangeLength - 1`
@@ -160,10 +151,8 @@ class Vicinity final : public sim::CycleProtocol,
 
   PeerDescriptor selfDescriptor(NodeId node) const;
 
-  net::Transport& transport_;
   const Cyclon& cyclon_;
   Params params_;
-  Rng rng_;
   ProfileFn profile_;
   /// profile_(node) for every node, kept current by onSpawn and
   /// onSeqIdChange: the exchange reads ring positions here.
@@ -184,18 +173,13 @@ class Vicinity final : public sim::CycleProtocol,
   std::vector<std::vector<Ban>> bans_;
   std::vector<std::uint64_t> stepCount_;
 
-  /// Exchange scratch (one set per ring instance, not per exchange):
-  /// request/reply messages, the candidate pool and the band selector are
-  /// reset and refilled each exchange, recycling their buffers. Safe
-  /// under the single-threaded exchange chains: neither pool nor selector
-  /// is live across a nested send of the same instance.
-  net::Message requestScratch_;
-  net::Message replyScratch_;
-  std::vector<PeerDescriptor> poolScratch_;
-  RingBand band_;
-  /// The sharded engine's band selectors, one per shard (sized in
-  /// onShardedAttach; each worker touches only its own).
-  std::vector<RingBand> shardBands_;
+  /// Band selectors, one per shard (each worker touches only its own);
+  /// slot 0 also serves own_. Reset and refilled by every selection, so
+  /// their buffers settle and a steady-state exchange allocates nothing.
+  std::vector<RingBand> bands_;
+  /// The context step() and the router routes run on: shard 0, the
+  /// instance transport, one RNG stream from the instance seed.
+  sim::ShardContext own_;
 };
 
 }  // namespace vs07::gossip

@@ -104,7 +104,7 @@ class View {
 
   /// Allocation-free variant: fills `out` (cleared first; capacity is
   /// reused) with the same sample, consuming `rng` identically to
-  /// randomEntries. Protocols pass a per-instance scratch buffer so a
+  /// randomEntries. Protocols pass a context's scratch buffer so a
   /// steady-state exchange never touches the allocator.
   void randomEntriesInto(std::size_t count, NodeId exclude, Rng& rng,
                          std::vector<PeerDescriptor>& out) const;

@@ -5,8 +5,7 @@
 namespace vs07::sim {
 
 Engine::Engine(Network& network, std::uint64_t seed, TimingConfig timing)
-    : network_(network),
-      timing_(timing),
+    : CycleDriver(network, timing),
       rng_(seed),
       phaseRng_(mix64(seed ^ 0x70686173ULL)) {  // "phas"
   VS07_EXPECT(timing_.ticksPerCycle >= 1);
@@ -20,12 +19,6 @@ Engine::~Engine() { network_.removeObserver(phases_); }
 
 void Engine::addProtocol(CycleProtocol& protocol) {
   protocols_.push_back(&protocol);
-}
-
-void Engine::addControl(Control& control) { controls_.push_back(&control); }
-
-void Engine::run(std::uint64_t cycles) {
-  for (std::uint64_t i = 0; i < cycles; ++i) runOneCycle();
 }
 
 void Engine::runOneCycle() {
@@ -57,7 +50,7 @@ void Engine::runOneCycle() {
   // Controls close the cycle on its last tick, after every timer (same
   // tick, higher priority class) — churn and probes still see cycle
   // boundaries regardless of the timing model.
-  queue_.schedule(start + span - 1, kPriorityControl, [this] { finishCycle(); });
+  queue_.schedule(start + span - 1, kPriorityControl, [this] { closeCycle(); });
   for (std::uint64_t t = start; t < start + span; ++t) {
     tick_ = t;
     queue_.advanceTo(t);
@@ -74,14 +67,9 @@ void Engine::sweepCycleSync() {
 void Engine::stepNode(NodeId node) {
   if (!network_.isAlive(node)) return;
   const std::uint32_t steps =
-      boost_ ? std::max<std::uint32_t>(1, boost_(node, cycle_)) : 1;
+      boost_ ? std::max<std::uint32_t>(1, boost_(node, cycle())) : 1;
   for (std::uint32_t s = 0; s < steps; ++s)
     for (auto* protocol : protocols_) protocol->step(node);
-}
-
-void Engine::finishCycle() {
-  ++cycle_;
-  for (auto* control : controls_) control->execute(cycle_);
 }
 
 void Engine::scheduleDelivery(std::uint64_t delayTicks,

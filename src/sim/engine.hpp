@@ -67,43 +67,23 @@ class Control {
   virtual void execute(std::uint64_t cycle) = 0;
 };
 
-/// Receives join events with an introducer (bootstrap contact); the churn
-/// control uses this to connect fresh nodes. Implemented by protocols.
-class JoinHandler {
+/// What every engine shares: the controls, the cycle and tick clocks and
+/// the cycle loop. An engine implements runOneCycle() and calls
+/// closeCycle() at the end of each cycle. Implements TickClock over the
+/// simulated tick, so tick-stamping consumers (cast::LiveCast) work
+/// against either engine or the runtime's wall clock.
+class CycleDriver : public TickClock {
  public:
-  virtual ~JoinHandler() = default;
-  virtual void onJoin(NodeId node, NodeId introducer) = 0;
-};
+  CycleDriver(const CycleDriver&) = delete;
+  CycleDriver& operator=(const CycleDriver&) = delete;
 
-/// The engine. Non-owning over protocols/controls: caller keeps them
-/// alive. Implements TickClock over the simulated tick, so tick-stamping
-/// consumers (cast::LiveCast) work against either the engine or the
-/// runtime's wall clock.
-class Engine : public TickClock {
- public:
-  /// CycleSync timing (the paper's model) unless `timing` says otherwise.
-  Engine(Network& network, std::uint64_t seed,
-         TimingConfig timing = TimingConfig::cycleSync());
-  ~Engine();
-
-  Engine(const Engine&) = delete;
-  Engine& operator=(const Engine&) = delete;
-
-  /// Registers a protocol; steps run in registration order per node.
-  void addProtocol(CycleProtocol& protocol);
-
-  /// Registers a control; runs in registration order each cycle.
-  void addControl(Control& control);
-
-  /// Per-node step multiplier: a node for which this returns k takes k
-  /// active steps per timer firing ("gossip at an arbitrarily higher
-  /// rate", the §7.3 join-acceleration optimisation). Pass {} to clear;
-  /// values of 0 are treated as 1.
-  using StepBoostFn = std::function<std::uint32_t(NodeId, std::uint64_t)>;
-  void setStepBoost(StepBoostFn boost) { boost_ = std::move(boost); }
+  /// Registers a control; runs in registration order at each cycle's end.
+  void addControl(Control& control) { controls_.push_back(&control); }
 
   /// Runs `cycles` full cycles.
-  void run(std::uint64_t cycles);
+  void run(std::uint64_t cycles) {
+    for (std::uint64_t i = 0; i < cycles; ++i) runOneCycle();
+  }
 
   /// Runs until `predicate()` is true, checking after each cycle, or until
   /// `maxCycles` have elapsed. Returns cycles actually run.
@@ -120,15 +100,68 @@ class Engine : public TickClock {
   /// Current cycle number (count of completed cycles).
   std::uint64_t cycle() const noexcept { return cycle_; }
 
-  /// Current simulated tick. Under CycleSync with ticksPerCycle 1 this
-  /// advances one per cycle; under jittered timing it is the fine-grained
-  /// clock node timers and deliveries are scheduled on.
+  /// Current simulated tick; what a tick spans is the engine's schedule
+  /// (see Engine and ShardedEngine).
   std::uint64_t tick() const noexcept { return tick_; }
 
   // TickClock — the simulated tick.
   std::uint64_t nowTick() const noexcept override { return tick_; }
 
   const TimingConfig& timing() const noexcept { return timing_; }
+
+  Network& network() noexcept { return network_; }
+
+ protected:
+  CycleDriver(Network& network, TimingConfig timing)
+      : network_(network), timing_(timing) {}
+
+  /// Ends a cycle: advances cycle() and runs the controls in registration
+  /// order.
+  void closeCycle() {
+    ++cycle_;
+    for (auto* control : controls_) control->execute(cycle_);
+  }
+
+  Network& network_;
+  const TimingConfig timing_;
+  std::uint64_t tick_ = 0;
+
+ private:
+  virtual void runOneCycle() = 0;
+
+  std::vector<Control*> controls_;
+  std::uint64_t cycle_ = 0;
+};
+
+/// Receives join events with an introducer (bootstrap contact); the churn
+/// control uses this to connect fresh nodes. Implemented by protocols.
+class JoinHandler {
+ public:
+  virtual ~JoinHandler() = default;
+  virtual void onJoin(NodeId node, NodeId introducer) = 0;
+};
+
+/// The sequential engine. Non-owning over protocols/controls: caller
+/// keeps them alive. A cycle spans ticksPerCycle ticks: under CycleSync
+/// with ticksPerCycle 1 the tick advances one per cycle; under jittered
+/// timing it is the fine-grained clock node timers and deliveries are
+/// scheduled on.
+class Engine final : public CycleDriver {
+ public:
+  /// CycleSync timing (the paper's model) unless `timing` says otherwise.
+  Engine(Network& network, std::uint64_t seed,
+         TimingConfig timing = TimingConfig::cycleSync());
+  ~Engine() override;
+
+  /// Registers a protocol; steps run in registration order per node.
+  void addProtocol(CycleProtocol& protocol);
+
+  /// Per-node step multiplier: a node for which this returns k takes k
+  /// active steps per timer firing ("gossip at an arbitrarily higher
+  /// rate", the §7.3 join-acceleration optimisation). Pass {} to clear;
+  /// values of 0 are treated as 1.
+  using StepBoostFn = std::function<std::uint32_t(NodeId, std::uint64_t)>;
+  void setStepBoost(StepBoostFn boost) { boost_ = std::move(boost); }
 
   /// Schedules `action` onto the shared event queue `delayTicks` from the
   /// current tick, at delivery priority. Deliveries due mid-cycle
@@ -155,8 +188,6 @@ class Engine : public TickClock {
   /// queue drains).
   const net::MessagePool& deliveryPool() const noexcept { return pool_; }
 
-  Network& network() noexcept { return network_; }
-
  private:
   /// Assigns gossip-timer phases on membership changes (joiners get a
   /// fresh phase the moment they spawn, so churn works in any mode).
@@ -168,19 +199,17 @@ class Engine : public TickClock {
     Engine& engine;
   };
 
-  void runOneCycle();
+  /// Schedules one cycle's timers and its closing control event, then
+  /// advances the queue through the cycle's ticks.
+  void runOneCycle() override;
   /// Executes one pooled message delivery (see scheduleMessageDelivery).
   void deliverSlot(std::uint32_t slot);
   /// CycleSync: the whole synchronous round as one macro-event.
   void sweepCycleSync();
   /// JitteredPeriodic: one node's timer firing.
   void stepNode(NodeId node);
-  /// End-of-cycle event: advances cycle() and runs the controls.
-  void finishCycle();
   void assignPhase(NodeId node);
 
-  Network& network_;
-  TimingConfig timing_;
   Rng rng_;
   /// Separate stream for timer phases so CycleSync runs consume rng_
   /// exactly as the pre-event-core engine did (bit-for-bit regression).
@@ -188,10 +217,7 @@ class Engine : public TickClock {
   EventQueue queue_;
   PhaseTracker phases_{*this};
   std::vector<CycleProtocol*> protocols_;
-  std::vector<Control*> controls_;
   StepBoostFn boost_;
-  std::uint64_t cycle_ = 0;
-  std::uint64_t tick_ = 0;
   std::uint64_t nextCycleStart_ = 0;
   std::size_t pendingDeliveries_ = 0;
   /// Pooled payloads (and destinations) of in-flight message

@@ -41,10 +41,9 @@ struct CanonicalOrder {
 
 ShardedEngine::ShardedEngine(Network& network, std::uint64_t seed,
                              std::uint32_t threads, TimingConfig timing)
-    : network_(network),
+    : CycleDriver(network, checkedTiming(timing)),
       shardCount_(checkedThreads(threads)),
       streamSeed_(seed),
-      timing_(checkedTiming(timing)),
       slotCount_(timing_.mode == TimingMode::kCycleSync
                      ? kStepBatches
                      : timing_.ticksPerCycle),
@@ -79,14 +78,6 @@ void ShardedEngine::addProtocol(ShardedProtocol& protocol) {
   protocol.onShardedAttach(shardCount_);
 }
 
-void ShardedEngine::addControl(Control& control) {
-  controls_.push_back(&control);
-}
-
-void ShardedEngine::run(std::uint64_t cycles) {
-  for (std::uint64_t i = 0; i < cycles; ++i) runOneCycle();
-}
-
 void ShardedEngine::ensureNode(NodeId node) {
   if (node >= eventCount_.size()) {
     eventCount_.resize(node + 1, 0);
@@ -119,7 +110,7 @@ void ShardedEngine::BarrierSender::send(NodeId to, net::Message&& msg) {
   // per-node stream, so independent of thread count. Without a latency
   // model (always so under CycleSync, by the ctor contract) draw()
   // consumes no randomness and the message is due at once.
-  slot.dueTick = e.currentTick_ + e.timing_.latency.draw(ctx->rng());
+  slot.dueTick = e.tick_ + e.timing_.latency.draw(ctx->rng());
   // Swap the payload into the recycled slot; the caller's message walks
   // away holding the slot's previous (reset) buffers.
   slot.msg.reset();
@@ -184,7 +175,7 @@ void ShardedEngine::runOneCycle() {
     // dueTick >= sendTick + lookahead >= horizon.
     const std::uint64_t horizon = std::min<std::uint64_t>(nextTime + window, end);
     for (std::uint64_t t = nextTime; t < horizon; ++t) {
-      currentTick_ = t;
+      tick_ = t;
       phase_ = Phase::kTick;
       pool_.parallelFor(shardCount_, phaseFn_);
       // Deliver rounds until the tick is quiet: same-tick messages are
@@ -200,13 +191,12 @@ void ShardedEngine::runOneCycle() {
           std::max(nextOffset, static_cast<std::uint32_t>(t - start) + 1);
     }
   }
-  currentTick_ = end;
+  tick_ = end;
   cycleStartTick_ = end;
-  // Cycle boundary: sequential, like Engine::finishCycle. Membership
-  // mutation (churn) is legal only here.
-  ++cycle_;
+  // Cycle boundary: sequential, as under Engine. Membership mutation
+  // (churn) is legal only in the controls.
   maintainBuffers();
-  for (auto* control : controls_) control->execute(cycle_);
+  closeCycle();
 }
 
 void ShardedEngine::maintainBuffers() {
@@ -313,7 +303,7 @@ void ShardedEngine::maintainBuffers() {
   }
   if (!rewarm) return;
   // Bring every buffer up to the high-water in one sequential sweep:
-  // outbox slots, store slots and the workers' message scratch. This
+  // outbox slots, store slots and the workers' two scratch messages. This
   // happens in the first cycles only; afterwards the trigger above is a
   // few comparisons.
   warmedEntryCap_ = entryCap;
@@ -333,6 +323,7 @@ void ShardedEngine::maintainBuffers() {
   for (auto& w : workers_) {
     w.store.rewarm(entryCap, idCap);
     warm(w.ctx.messageScratch_);
+    warm(w.ctx.replyScratch_);
   }
 }
 
@@ -366,7 +357,7 @@ void ShardedEngine::tickPhase(std::uint32_t shard) {
   // Deliveries before steps within a tick — the same intra-tick priority
   // order as the sequential engine's event queue.
   w.dueScratch.clear();
-  w.dueQueue.popDueInto(currentTick_, w.dueScratch);
+  w.dueQueue.popDueInto(tick_, w.dueScratch);
   std::sort(w.dueScratch.begin(), w.dueScratch.end(), CanonicalOrder{});
   for (const StoreRef& ref : w.dueScratch) {
     dispatch(w, ref.to, w.store.at(ref.slot));
@@ -375,8 +366,7 @@ void ShardedEngine::tickPhase(std::uint32_t shard) {
   // This tick's steps. Worklists are rebuilt from aliveIds() each cycle
   // and membership mutates only at cycle boundaries, so every listed
   // node is alive.
-  const auto offset = static_cast<std::uint32_t>(currentTick_ -
-                                                 cycleStartTick_);
+  const auto offset = static_cast<std::uint32_t>(tick_ - cycleStartTick_);
   for (const NodeId node : w.worklist[offset]) {
     for (auto* protocol : protocols_) {
       seedEventRng(w.ctx, node);
@@ -397,7 +387,7 @@ void ShardedEngine::deliverPhase(std::uint32_t shard) {
     Bucket& bucket = outbox(src, readParity, shard);
     for (std::size_t i = 0; i < bucket.count; ++i) {
       Pending& p = bucket.slots[i];
-      if (p.dueTick > currentTick_) {
+      if (p.dueTick > tick_) {
         // A latency draw pushed this arrival past the current tick: park
         // it in the store; a later tick delivers it. (checkIn swaps
         // buffers, leaving the outbox slot warm for reuse.)

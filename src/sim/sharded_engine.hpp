@@ -88,8 +88,12 @@ namespace vs07::sim {
 
 /// The parallel engine. Drives ShardedProtocols over `threads` workers;
 /// Controls (churn, probes) run sequentially at cycle boundaries exactly
-/// as under sim::Engine.
-class ShardedEngine {
+/// as under sim::Engine. Under CycleSync a cycle spans kStepBatches
+/// ticks, and node n steps in cycle c at tick c * kStepBatches +
+/// batchOf(n). Under jittered timing a cycle spans ticksPerCycle ticks,
+/// node n's timer fires at c * ticksPerCycle + timerPhaseOf(n), and
+/// latency draws count in ticks.
+class ShardedEngine final : public CycleDriver {
  public:
   /// Slots (ticks) per CycleSync cycle: the step sub-batches that bound
   /// in-flight exchange buffers to population/kStepBatches per round — at
@@ -113,43 +117,10 @@ class ShardedEngine {
   /// traffic.
   ShardedEngine(Network& network, std::uint64_t seed, std::uint32_t threads,
                 TimingConfig timing = TimingConfig::cycleSync());
-  ~ShardedEngine();
-
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
+  ~ShardedEngine() override;
 
   /// Registers a protocol; per node, protocols step in registration order.
   void addProtocol(ShardedProtocol& protocol);
-
-  /// Registers a control; runs sequentially in order each cycle boundary.
-  void addControl(Control& control);
-
-  /// Runs `cycles` full cycles.
-  void run(std::uint64_t cycles);
-
-  /// Runs until `predicate()` is true, checking after each cycle, or until
-  /// `maxCycles` have elapsed. Returns cycles actually run.
-  template <typename Pred>
-  std::uint64_t runUntil(Pred predicate, std::uint64_t maxCycles) {
-    std::uint64_t ran = 0;
-    while (ran < maxCycles && !predicate()) {
-      runOneCycle();
-      ++ran;
-    }
-    return ran;
-  }
-
-  /// Completed cycles.
-  std::uint64_t cycle() const noexcept { return cycle_; }
-
-  /// Current simulated tick. Under CycleSync a cycle spans kStepBatches
-  /// ticks, and node n steps in cycle c at tick c * kStepBatches +
-  /// batchOf(n). Under jittered timing a cycle spans ticksPerCycle ticks,
-  /// node n's timer fires at c * ticksPerCycle + timerPhaseOf(n), and
-  /// latency draws count in ticks.
-  std::uint64_t tick() const noexcept { return currentTick_; }
-
-  const TimingConfig& timing() const noexcept { return timing_; }
 
   /// Worker/shard count (fixed at construction).
   std::uint32_t threadCount() const noexcept { return shardCount_; }
@@ -185,8 +156,6 @@ class ShardedEngine {
                          node) %
         timing_.ticksPerCycle);
   }
-
-  Network& network() noexcept { return network_; }
 
  private:
   /// One buffered message awaiting its barrier.
@@ -295,14 +264,14 @@ class ShardedEngine {
     kDeliver,   ///< one round over the read-parity outboxes
   };
 
-  void runOneCycle();
+  void runOneCycle() override;
   void runPhase(std::size_t shard);
   void buildWorklist(std::uint32_t shard);
-  /// Delivers everything stored due <= currentTick_ (canonical order),
-  /// then steps this tick's slot.
+  /// Delivers everything stored due <= tick_ (canonical order), then
+  /// steps this tick's slot.
   void tickPhase(std::uint32_t shard);
   /// Gathers the read-parity messages addressed to this shard, parks the
-  /// ones due after currentTick_ in the store, and delivers the rest in
+  /// ones due after tick_ in the store, and delivers the rest in
   /// canonical order.
   void deliverPhase(std::uint32_t shard);
   /// Delivers one message: a dead destination drops it (droppedDead),
@@ -333,15 +302,12 @@ class ShardedEngine {
   }
   std::uint64_t pendingAt(std::uint32_t parity) const;
 
-  Network& network_;
   const std::uint32_t shardCount_;
   const std::uint64_t streamSeed_;
-  const TimingConfig timing_;
   const std::uint32_t slotCount_;
   TaskPool pool_;
   GrowthTracker growth_{*this};
   std::vector<ShardedProtocol*> protocols_;
-  std::vector<Control*> controls_;
   std::vector<BarrierSender> senders_;
   std::vector<Worker> workers_;
   /// [worker][parity][destShard] flattened (see outbox()).
@@ -351,15 +317,14 @@ class ShardedEngine {
   std::vector<std::uint32_t> eventCount_;
   /// Per-node monotone send counter: the canonical delivery tiebreak.
   std::vector<std::uint32_t> sendSeq_;
-  std::uint64_t cycle_ = 0;
   /// Slot-buffer capacities all outbox slots were last warmed to (see
   /// rewarmBuffers); lag the senders' high-water caps only while those
   /// are still growing, i.e. during the first cycles.
   std::size_t warmedEntryCap_ = 0;
   std::size_t warmedIdCap_ = 0;
   std::uint32_t parity_ = 0;  ///< outbox side written by this phase
-  /// Schedule position (coordinator-written between barriers).
-  std::uint64_t currentTick_ = 0;
+  /// Start of the current cycle; the schedule position itself is tick_
+  /// (both coordinator-written between barriers).
   std::uint64_t cycleStartTick_ = 0;
   /// Per slot offset: 1 when any shard has nodes at that offset this
   /// cycle (coordinator aggregate of the worklists).

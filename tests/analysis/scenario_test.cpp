@@ -74,6 +74,32 @@ TEST(ScenarioBuilder, ShardedBuildsRejectWhatTheEngineCannotRun) {
                ContractViolation);
 }
 
+TEST(ScenarioBuilder, ShardedScenarioHoldsOnlyTheShardedEngine) {
+  auto scenario = Scenario::builder()
+                      .nodes(60)
+                      .seed(10)
+                      .engineThreads(2)
+                      .timing(sim::TimingConfig::jitteredLatency(
+                          sim::LatencyModel::uniform(1, 3)))
+                      .warmupCycles(5)
+                      .build();
+  ASSERT_NE(scenario.shardedEngine(), nullptr);
+  EXPECT_EQ(scenario.cyclesRun(), 5u);
+  EXPECT_EQ(scenario.shardedEngine()->cycle(), 5u);
+  // No idle sequential engine, and no transport on its event queue.
+  EXPECT_THROW(scenario.engine(), ContractViolation);
+  EXPECT_THROW(scenario.liveSession(), ContractViolation);
+  EXPECT_EQ(scenario.latencyTransport(), nullptr);
+}
+
+TEST(ScenarioBuilder, EngineThreadsAboveTheLimitRejected) {
+  EXPECT_NO_THROW(
+      Scenario::builder().engineThreads(Scenario::kMaxEngineThreads));
+  EXPECT_THROW(
+      Scenario::builder().engineThreads(Scenario::kMaxEngineThreads + 1),
+      ContractViolation);
+}
+
 TEST(ScenarioBuilder, ChurnInstalledAtBuildReplacesNodes) {
   auto scenario =
       Scenario::builder().nodes(200).seed(3).churn(0.05).build();

@@ -1,7 +1,8 @@
 // Well-formedness of every gossip view in a scenario: the CYCLON view and
 // each ring's VICINITY view of every node ever created. A view must not
 // name its owner, must name each node at most once and must hold at most
-// its capacity.
+// its capacity. ViewInvariantControl checks it at every cycle boundary
+// of either engine.
 //
 // Header-only for the same reason as golden.hpp: every tests/**/*.cpp
 // builds into its own gtest binary.
@@ -13,6 +14,7 @@
 
 #include "analysis/scenario.hpp"
 #include "gossip/view.hpp"
+#include "sim/engine.hpp"
 
 namespace vs07::harness {
 
@@ -55,5 +57,25 @@ inline ::testing::AssertionResult viewsWellFormed(
   }
   return ::testing::AssertionSuccess();
 }
+
+/// A cycle-boundary control that checks viewsWellFormed each time it
+/// runs and counts its runs. It reads views only, so registering it
+/// draws from no stream and changes no result.
+class ViewInvariantControl final : public sim::Control {
+ public:
+  explicit ViewInvariantControl(const analysis::Scenario& scenario)
+      : scenario_(scenario) {}
+
+  void execute(std::uint64_t cycle) override {
+    ++runs_;
+    EXPECT_TRUE(viewsWellFormed(scenario_)) << "at cycle " << cycle;
+  }
+
+  std::uint64_t runs() const noexcept { return runs_; }
+
+ private:
+  const analysis::Scenario& scenario_;
+  std::uint64_t runs_ = 0;
+};
 
 }  // namespace vs07::harness

@@ -156,13 +156,14 @@ Json runCase(const ConditionCase& conditionCase, bool jittered, bool churn) {
                                         .digestLength = 8,
                                         .bufferCapacity = 16});
   EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "after warm-up";
+  harness::ViewInvariantControl invariants(scenario);
+  scenario.engine().addControl(invariants);
   Json publishes = Json::array();
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 6; ++i)
     publishes.push(reportLine(session.publishFromRandom()));
-    EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "after publish " << i;
-  }
   scenario.runCycles(6);
-  EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "at the end";
+  // Six publishes settle for four cycles each, then six more cycles.
+  EXPECT_EQ(invariants.runs(), 6u * 4u + 6u);
 
   const NetworkModel& model = *scenario.networkModel();
   Json counters = Json::object();

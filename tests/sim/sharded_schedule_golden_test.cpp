@@ -108,9 +108,11 @@ Json runCase(const ScheduleCase& scheduleCase, bool churn) {
   if (churn) builder.churn(0.01);
   auto scenario = builder.build();
   EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "after warm-up";
+  harness::ViewInvariantControl invariants(scenario);
+  scenario.shardedEngine()->addControl(invariants);
   scenario.killRandomFraction(0.05);
   scenario.runCycles(12);
-  EXPECT_TRUE(harness::viewsWellFormed(scenario)) << "at the end";
+  EXPECT_EQ(invariants.runs(), 12u);
 
   const ShardedEngine& engine = *scenario.shardedEngine();
   Json out = Json::object();
