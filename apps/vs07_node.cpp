@@ -11,6 +11,7 @@
 // so harnesses launching it with ephemeral ports (--listen 0.0.0.0:0)
 // can discover what the kernel assigned. Control commands (one per line,
 // one JSON line back): status | publish | report <dataId> | quit.
+#include <netinet/in.h>
 #include <poll.h>
 
 #include <algorithm>
@@ -79,8 +80,6 @@ Json statusJson(const runtime::NodeProcess& node) {
   const auto& t = node.transport();
   j.set("datagrams_sent", t.datagramsSent());
   j.set("datagrams_received", t.datagramsReceived());
-  j.set("fallback_sent", t.fallbackSent());
-  j.set("fallback_received", t.fallbackReceived());
   j.set("dropped_no_address", t.droppedNoAddress());
   j.set("dropped_malformed", t.droppedMalformed());
   j.set("dropped_backlog", t.droppedBacklog());
@@ -117,8 +116,10 @@ int main(int argc, char** argv) {
   parser.option("id", "this node's NodeId within the population")
       .option("nodes", "population size (must agree across the cluster)")
       .option("seed", "experiment root seed (must agree across the cluster)")
-      .option("listen", "host:port for UDP+TCP gossip (port 0 = ephemeral)")
-      .option("control", "host:port for the control socket (0 = ephemeral)")
+      .option("listen", "host:port for UDP gossip (port 0 = ephemeral)")
+      .option("control",
+              "127.0.0.1:port for the loopback-only control socket "
+              "(port 0 = ephemeral)")
       .option("seed-peer", "host:port of the bootstrap seed node")
       .option("is-seed", "run as the bootstrap seed (skips the ladder)",
               /*takesValue=*/false)
@@ -165,14 +166,24 @@ int main(int argc, char** argv) {
   config.shuffleLength =
       static_cast<std::uint32_t>(args.getPositiveUint("shuffle-length", 8));
 
-  const std::uint16_t controlPort = args.getHostPort("control", {"", 0}).port;
+  // Control commands are unauthenticated ("quit", "publish"), so the
+  // control socket listens on loopback only.
+  const HostPort controlAt = args.getHostPort("control", {"127.0.0.1", 0});
+  if (runtime::parseAddress(controlAt.host, controlAt.port).ipv4 !=
+      INADDR_LOOPBACK) {
+    std::fprintf(stderr,
+                 "vs07_node: --control must be 127.0.0.1:port (the control "
+                 "socket is loopback only), got host '%s'\n",
+                 controlAt.host.c_str());
+    return 2;
+  }
 
   try {
     runtime::NodeProcess node(config);
 
     bool stop = false;
     runtime::ControlServer control(
-        controlPort, [&](const std::string& line) -> std::string {
+        controlAt.port, [&](const std::string& line) -> std::string {
           if (line == "status") return statusJson(node).dump();
           if (line == "publish") {
             if (!node.joined())

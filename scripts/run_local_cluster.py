@@ -8,10 +8,12 @@ collects every node's first-delivery hop over the control sockets. From
 those it builds the real coverage-vs-round curve and validates it:
 
   1. every publish must reach 100% of the cluster (RingCast full
-     delivery on a lossless local network), and
+     delivery on a lossless local network),
   2. the curve must agree, round by round, with the in-process
      simulator's lossyWan reference (bench/realnet_coverage on the same
-     population seed) within --tolerance percentage points.
+     population seed) within --tolerance percentage points, and
+  3. no node may count a malformed datagram: every frame an honest
+     cluster sends fits one datagram and decodes.
 
 With --json PATH it emits a bench-schema record (validated by
 scripts/check_bench_json.py) carrying the real curve, the sim curve, and
@@ -54,7 +56,7 @@ def launch_node(binary, node_id, args, extra, log_dir):
            "--seed", str(args.seed), "--cycle-ms", str(args.cycle_ms),
            "--warmup-cycles", str(args.warmup_cycles),
            "--strategy", args.strategy, "--fanout", str(args.fanout),
-           "--listen", "0.0.0.0:0", "--control", "0.0.0.0:0"] + extra
+           "--listen", "0.0.0.0:0", "--control", "127.0.0.1:0"] + extra
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=log,
                             text=True)
     deadline = time.monotonic() + 10.0
@@ -160,7 +162,6 @@ def emit_record(args, real_curve, sim_curve, deltas, statuses, publishes,
         "cycle_ms": args.cycle_ms,
         "delivery_percent": delivery_percent,
         "datagrams_sent": sum(s["datagrams_sent"] for s in statuses),
-        "fallback_sent": sum(s["fallback_sent"] for s in statuses),
         "dropped_malformed": sum(s["dropped_malformed"] for s in statuses),
         "series": [
             {"label": f"real {args.strategy} coverage vs round "
@@ -333,6 +334,11 @@ def main():
                 f"rounds {bad_rounds}")
 
         statuses = [control(n, "status") for n in nodes]
+        malformed = sum(s["dropped_malformed"] for s in statuses)
+        if malformed:
+            failures.append(
+                f"{malformed} malformed datagrams dropped across the "
+                f"cluster (an oversized or undecodable frame)")
         if args.json:
             emit_record(args, real_padded, sim_padded, deltas, statuses,
                         args.publishes, delivery_percent,

@@ -14,7 +14,7 @@ Bootstrap::Bootstrap(const Config& config, UdpTransport& transport,
       cyclon_(cyclon),
       state_(config.isSeed ? State::kJoined : State::kAnnouncing) {
   VS07_EXPECT(config_.isSeed || config_.seedAddr.valid());
-  VS07_EXPECT(config_.annexLimit <= kMaxAnnexEntries);
+  VS07_EXPECT(controlFrameBytes(config_.annexLimit) <= kMaxDatagramBytes);
   transport_.setFrameHandler(this);
 }
 

@@ -53,7 +53,8 @@ class Bootstrap final : public FrameHandler {
     std::uint32_t retryCapMs = 2000;
     /// HELLOs sent before giving up (kFailed).
     std::uint32_t maxAttempts = 20;
-    /// Known-peer addresses carried per WELCOME.
+    /// Known-peer addresses carried per WELCOME; the frame must fit one
+    /// datagram (at most 138).
     std::uint32_t annexLimit = 64;
   };
 

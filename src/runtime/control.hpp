@@ -2,7 +2,9 @@
 //
 // A tiny line protocol over TCP on a separate port: the harness sends
 // one command per line ("status", "publish", "report <dataId>", "quit")
-// and the node answers with exactly one line of JSON. The server is
+// and the node answers with exactly one line of JSON. The listener binds
+// 127.0.0.1 only: the commands are unauthenticated, and "quit" or
+// "publish" from another host would drive the node. The server is
 // policy-free: it owns sockets and line framing and hands every decoded
 // command to a callback that returns the reply — vs07_node supplies the
 // actual command table. Connections are persistent (one per harness,
@@ -25,8 +27,8 @@ class ControlServer {
   /// returns the reply, sent back as one line.
   using CommandFn = std::function<std::string(const std::string& line)>;
 
-  /// Binds a TCP listener on `port` (0 = ephemeral; see listenPort).
-  /// Throws std::runtime_error when sockets are unavailable.
+  /// Binds a TCP listener on 127.0.0.1:`port` (0 = ephemeral; see
+  /// listenPort). Throws std::runtime_error when sockets are unavailable.
   ControlServer(std::uint16_t port, CommandFn onCommand);
   ~ControlServer();
 

@@ -57,6 +57,14 @@ NodeProcess::NodeProcess(const Config& config)
                  transport_, peers_, cyclon_) {
   VS07_EXPECT(config_.selfId < config_.nodes);
   VS07_EXPECT(config_.cycleMs >= 1);
+  // Every frame the stack builds must fit one datagram, even with a full
+  // annex: CYCLON shuffles, VICINITY offers, and pull digests (the
+  // window's two bounds and its ids). Data frames carry neither.
+  VS07_EXPECT(gossipFrameBytes(config_.shuffleLength) <= kMaxDatagramBytes);
+  VS07_EXPECT(gossipFrameBytes(vicinity_.params().exchangeLength) <=
+              kMaxDatagramBytes);
+  VS07_EXPECT(gossipFrameBytes(0, 2 + live_.params().digestLength) <=
+              kMaxDatagramBytes);
   live_.attachClock(*this);
   // Disjoint id spaces: concurrent publishes from different processes
   // can never collide.

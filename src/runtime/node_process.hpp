@@ -45,7 +45,7 @@ class NodeProcess final : public TickClock {
     /// Experiment root seed; populationSeed(seed) builds the shared
     /// population, per-node streams derive from it.
     std::uint64_t seed = 1;
-    /// UDP/TCP listen port (0 = ephemeral).
+    /// UDP listen port (0 = ephemeral).
     std::uint16_t port = 0;
     bool isSeed = false;
     PeerAddress seedAddr{};
@@ -71,8 +71,10 @@ class NodeProcess final : public TickClock {
     std::uint64_t atMs = 0;
   };
 
-  /// Binds sockets and wires the stack; throws std::runtime_error when
-  /// sockets are unavailable.
+  /// Binds the socket and wires the stack; throws std::runtime_error
+  /// when sockets are unavailable. Requires every frame the stack can
+  /// build to fit one datagram (runtime/wire.hpp): a shuffle length of
+  /// at most 75.
   explicit NodeProcess(const Config& config);
 
   // TickClock — wall milliseconds since construction.

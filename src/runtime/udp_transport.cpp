@@ -1,7 +1,6 @@
 #include "runtime/udp_transport.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -18,17 +17,6 @@ namespace vs07::runtime {
 
 namespace {
 
-/// Fallback streams above this are corrupt input, not big frames: the
-/// largest legitimate frame is payload cap + header + full annex.
-constexpr std::uint32_t kMaxTcpFrame =
-    kMaxFramePayload + static_cast<std::uint32_t>(kFrameHeaderBytes) + 2 +
-    10 * kMaxAnnexEntries;
-
-/// Simultaneously open fallback connections per direction; beyond this,
-/// new ones are refused (the sender retries nothing — large frames are
-/// as droppable as datagrams).
-constexpr std::size_t kMaxTcpConns = 128;
-
 sockaddr_in toSockaddr(const PeerAddress& addr) {
   sockaddr_in out{};
   out.sin_family = AF_INET;
@@ -41,63 +29,28 @@ bool wouldBlock(int error) {
   return error == EAGAIN || error == EWOULDBLOCK || error == ENOBUFS;
 }
 
-void closeIfOpen(int& fd) {
-  if (fd >= 0) ::close(fd);
-  fd = -1;
-}
-
-int openNonblockSocket(int type) {
-  return ::socket(AF_INET, type | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-}
-
-/// Binds a UDP socket and a TCP listener to one shared port number.
-/// With port 0, retries fresh ephemeral UDP ports until the TCP side of
-/// the same number is free too (collisions are rare but real).
-void bindPair(std::uint16_t requestedPort, int& udpFd, int& tcpFd,
-              std::uint16_t& boundPort) {
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    udpFd = openNonblockSocket(SOCK_DGRAM);
-    if (udpFd < 0) throw std::runtime_error("socket(udp) failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    addr.sin_port = htons(requestedPort);
-    if (::bind(udpFd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      closeIfOpen(udpFd);
-      throw std::runtime_error("bind(udp) failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(udpFd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-      closeIfOpen(udpFd);
-      throw std::runtime_error("getsockname failed");
-    }
-    boundPort = ntohs(addr.sin_port);
-
-    tcpFd = openNonblockSocket(SOCK_STREAM);
-    if (tcpFd < 0) {
-      closeIfOpen(udpFd);
-      throw std::runtime_error("socket(tcp) failed");
-    }
-    const int one = 1;
-    ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in tcpAddr{};
-    tcpAddr.sin_family = AF_INET;
-    tcpAddr.sin_addr.s_addr = htonl(INADDR_ANY);
-    tcpAddr.sin_port = htons(boundPort);
-    if (::bind(tcpFd, reinterpret_cast<sockaddr*>(&tcpAddr),
-               sizeof(tcpAddr)) == 0 &&
-        ::listen(tcpFd, 16) == 0)
-      return;
-    // TCP side of this number is taken: only worth retrying when we get
-    // to pick a fresh number.
-    closeIfOpen(udpFd);
-    closeIfOpen(tcpFd);
-    if (requestedPort != 0)
-      throw std::runtime_error("bind(tcp) failed on port " +
-                               std::to_string(boundPort));
+/// Binds a nonblocking UDP socket to `requestedPort` on every interface
+/// (0 = ephemeral); returns its fd and the port it got.
+int bindUdp(std::uint16_t requestedPort, std::uint16_t& boundPort) {
+  const int fd =
+      ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw std::runtime_error("socket(udp) failed");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_ANY);
+  addr.sin_port = htons(requestedPort);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const std::string reason = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("bind(udp) failed: " + reason);
   }
-  throw std::runtime_error("no shared udp+tcp port found");
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    throw std::runtime_error("getsockname failed");
+  }
+  boundPort = ntohs(addr.sin_port);
+  return fd;
 }
 
 /// True when every node id `msg` names lies inside the population: the
@@ -115,30 +68,24 @@ bool namesOnlyPopulation(const net::Message& msg, std::uint32_t nodeCount) {
 UdpTransport::UdpTransport(const Config& config, PeerTable& peers,
                            net::DeliverySink& sink)
     : selfId_(config.selfId),
-      mtu_(config.mtuBytes),
       maxQueuedSends_(config.maxQueuedSends),
       peers_(peers),
-      sink_(sink) {
-  VS07_EXPECT(mtu_ >= 128);
-  bindPair(config.port, udpFd_, tcpFd_, port_);
-  recvBuf_.resize(64 * 1024);
+      sink_(sink),
+      recvBuf_(kMaxDatagramBytes + 1) {
+  udpFd_ = bindUdp(config.port, port_);
 }
 
-UdpTransport::~UdpTransport() {
-  for (auto& conn : tcpOut_) closeIfOpen(conn.fd);
-  for (auto& conn : tcpIn_) closeIfOpen(conn.fd);
-  closeIfOpen(udpFd_);
-  closeIfOpen(tcpFd_);
-}
+UdpTransport::~UdpTransport() { ::close(udpFd_); }
 
-void UdpTransport::buildAnnex(const net::Message& msg) {
+void UdpTransport::encodeGossip(const net::Message& msg) {
   annexScratch_.clear();
   for (const auto& entry : msg.entries) {
-    if (annexScratch_.size() >= kMaxAnnexEntries) break;
     if (entry.node >= peers_.nodeCount()) continue;
     const PeerAddress& addr = peers_.lookup(entry.node);
     if (addr.valid()) annexScratch_.push_back({entry.node, addr});
   }
+  encodeFrame({FrameKind::kGossip, selfId_, port_}, &msg, annexScratch_,
+              sendBuf_);
 }
 
 void UdpTransport::send(NodeId to, net::Message&& msg) {
@@ -152,13 +99,7 @@ void UdpTransport::send(NodeId to, net::Message&& msg) {
 
 void UdpTransport::transmit(NodeId to, const PeerAddress& addr,
                             net::Message& msg) {
-  buildAnnex(msg);
-  encodeFrame({FrameKind::kGossip, selfId_, port_}, &msg, annexScratch_,
-              sendBuf_);
-  if (sendBuf_.size() > mtu_) {
-    startFallback(addr);
-    return;
-  }
+  encodeGossip(msg);
   switch (sendDatagram(addr)) {
     case SendOutcome::kSent:
       ++datagramsSent_;
@@ -180,6 +121,7 @@ void UdpTransport::transmit(NodeId to, const PeerAddress& addr,
 }
 
 UdpTransport::SendOutcome UdpTransport::sendDatagram(const PeerAddress& addr) {
+  VS07_EXPECT(sendBuf_.size() <= kMaxDatagramBytes);
   const sockaddr_in dest = toSockaddr(addr);
   const auto sent =
       ::sendto(udpFd_, sendBuf_.data(), sendBuf_.size(), 0,
@@ -213,34 +155,6 @@ void UdpTransport::sendControlFrame(FrameKind kind, const PeerAddress& to,
   }
 }
 
-void UdpTransport::startFallback(const PeerAddress& addr) {
-  if (tcpOut_.size() >= kMaxTcpConns) {
-    ++droppedBacklog_;
-    return;
-  }
-  const int fd = openNonblockSocket(SOCK_STREAM);
-  if (fd < 0) {
-    ++droppedSendError_;  // no socket, no frame: count the loss
-    return;
-  }
-  const sockaddr_in dest = toSockaddr(addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&dest), sizeof(dest)) !=
-          0 &&
-      errno != EINPROGRESS) {
-    ++droppedSendError_;
-    ::close(fd);
-    return;
-  }
-  TcpOut conn;
-  conn.fd = fd;
-  const auto frameLen = static_cast<std::uint32_t>(sendBuf_.size());
-  conn.bytes.reserve(4 + sendBuf_.size());
-  for (int i = 0; i < 4; ++i)
-    conn.bytes.push_back(static_cast<std::uint8_t>(frameLen >> (8 * i)));
-  conn.bytes.insert(conn.bytes.end(), sendBuf_.begin(), sendBuf_.end());
-  tcpOut_.push_back(std::move(conn));
-}
-
 void UdpTransport::flushRetryQueue() {
   std::size_t flushed = 0;
   for (; flushed < retryQueue_.size(); ++flushed) {
@@ -248,10 +162,9 @@ void UdpTransport::flushRetryQueue() {
     const NodeId to = retryPool_.destination(slot);
     const PeerAddress& addr = peers_.lookup(to);
     if (addr.valid()) {
-      net::Message& msg = retryPool_.at(slot);
-      buildAnnex(msg);
-      encodeFrame({FrameKind::kGossip, selfId_, port_}, &msg, annexScratch_,
-                  sendBuf_);
+      // The annex may have grown since the frame was parked. Frames are
+      // sized with a full annex (gossipFrameBytes), so it still fits.
+      encodeGossip(retryPool_.at(slot));
       const SendOutcome outcome = sendDatagram(addr);
       if (outcome == SendOutcome::kBlocked) break;  // still: keep the tail
       if (outcome == SendOutcome::kFailed) {
@@ -267,36 +180,6 @@ void UdpTransport::flushRetryQueue() {
                     retryQueue_.begin() + static_cast<std::ptrdiff_t>(flushed));
 }
 
-void UdpTransport::flushFallbacks() {
-  for (std::size_t i = 0; i < tcpOut_.size();) {
-    TcpOut& conn = tcpOut_[i];
-    bool done = false;
-    bool dead = false;
-    while (conn.written < conn.bytes.size()) {
-      const auto n = ::send(conn.fd, conn.bytes.data() + conn.written,
-                            conn.bytes.size() - conn.written, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn.written += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && wouldBlock(errno)) break;
-      dead = true;  // refused/reset: the frame is lost, like a datagram
-      break;
-    }
-    if (conn.written >= conn.bytes.size()) {
-      done = true;
-      ++fallbackSent_;
-    }
-    if (done || dead) {
-      closeIfOpen(conn.fd);
-      conn = std::move(tcpOut_.back());
-      tcpOut_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
 void UdpTransport::receiveDatagrams() {
   for (;;) {
     sockaddr_in from{};
@@ -306,83 +189,14 @@ void UdpTransport::receiveDatagrams() {
                    reinterpret_cast<sockaddr*>(&from), &fromLen);
     if (n < 0) return;  // EAGAIN or a transient error: nothing more now
     ++datagramsReceived_;
-    handleFrame({recvBuf_.data(), static_cast<std::size_t>(n)},
-                ntohl(from.sin_addr.s_addr));
-  }
-}
-
-void UdpTransport::acceptFallbacks() {
-  for (;;) {
-    sockaddr_in from{};
-    socklen_t fromLen = sizeof(from);
-    const int fd = ::accept4(tcpFd_, reinterpret_cast<sockaddr*>(&from),
-                             &fromLen, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
-    if (tcpIn_.size() >= kMaxTcpConns) {
-      ::close(fd);
+    // A datagram that fills the buffer is above the bound (the kernel
+    // truncated it): no sender of this runtime builds one.
+    if (static_cast<std::size_t>(n) > kMaxDatagramBytes) {
+      ++droppedMalformed_;
       continue;
     }
-    TcpIn conn;
-    conn.fd = fd;
-    conn.bytes.reserve(4096);
-    tcpIn_.push_back(std::move(conn));
-  }
-}
-
-void UdpTransport::readFallbacks() {
-  std::uint8_t chunk[16 * 1024];
-  for (std::size_t i = 0; i < tcpIn_.size();) {
-    TcpIn& conn = tcpIn_[i];
-    bool closeConn = false;
-    for (;;) {
-      const auto n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-      if (n > 0) {
-        conn.bytes.insert(conn.bytes.end(), chunk, chunk + n);
-        if (conn.bytes.size() > 4u + kMaxTcpFrame) {
-          ++droppedMalformed_;
-          closeConn = true;
-        }
-        continue;
-      }
-      if (n < 0 && wouldBlock(errno)) break;
-      // EOF or error: the stream is complete (or dead) — decode if whole.
-      closeConn = true;
-      break;
-    }
-    if (!closeConn && conn.bytes.size() >= 4) {
-      // Early completion check so a finished frame does not wait for EOF.
-      std::uint32_t frameLen = 0;
-      for (int b = 0; b < 4; ++b)
-        frameLen |= static_cast<std::uint32_t>(conn.bytes[b]) << (8 * b);
-      if (frameLen <= kMaxTcpFrame && conn.bytes.size() >= 4u + frameLen)
-        closeConn = true;
-    }
-    if (closeConn) {
-      if (conn.bytes.size() >= 4) {
-        std::uint32_t frameLen = 0;
-        for (int b = 0; b < 4; ++b)
-          frameLen |= static_cast<std::uint32_t>(conn.bytes[b]) << (8 * b);
-        sockaddr_in peer{};
-        socklen_t peerLen = sizeof(peer);
-        std::uint32_t fromIp = 0;
-        if (::getpeername(conn.fd, reinterpret_cast<sockaddr*>(&peer),
-                          &peerLen) == 0)
-          fromIp = ntohl(peer.sin_addr.s_addr);
-        if (frameLen <= kMaxTcpFrame && conn.bytes.size() == 4u + frameLen) {
-          ++fallbackReceived_;
-          handleFrame({conn.bytes.data() + 4, frameLen}, fromIp);
-        } else {
-          ++droppedMalformed_;
-        }
-      } else if (!conn.bytes.empty()) {
-        ++droppedMalformed_;
-      }
-      closeIfOpen(conn.fd);
-      conn = std::move(tcpIn_.back());
-      tcpIn_.pop_back();
-    } else {
-      ++i;
-    }
+    handleFrame({recvBuf_.data(), static_cast<std::size_t>(n)},
+                ntohl(from.sin_addr.s_addr));
   }
 }
 
@@ -433,18 +247,12 @@ void UdpTransport::addPollFds(std::vector<::pollfd>& fds) const {
                  static_cast<short>(POLLIN |
                                     (retryQueue_.empty() ? 0 : POLLOUT)),
                  0});
-  fds.push_back({tcpFd_, POLLIN, 0});
-  for (const auto& conn : tcpOut_) fds.push_back({conn.fd, POLLOUT, 0});
-  for (const auto& conn : tcpIn_) fds.push_back({conn.fd, POLLIN, 0});
 }
 
 std::uint32_t UdpTransport::service() {
   dispatched_ = 0;
   receiveDatagrams();
-  acceptFallbacks();
-  readFallbacks();
   flushRetryQueue();
-  flushFallbacks();
   return dispatched_;
 }
 

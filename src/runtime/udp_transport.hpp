@@ -1,13 +1,12 @@
 // net::Transport over real nonblocking sockets — the bridge that runs the
 // unmodified gossip/cast protocol stack between actual processes.
 //
-// One UdpTransport owns two listening sockets bound to the same port
-// number: a UDP socket carrying every frame that fits in a conservative
-// datagram MTU, and a TCP listener for the fallback path (frames above
-// the MTU — large pull answers, fat digests — are streamed over a
-// short-lived TCP connection with a length prefix instead of relying on
-// IP fragmentation). All sockets are nonblocking and serviced from a
-// poll(2) loop the caller drives; the transport never blocks.
+// One UdpTransport owns one nonblocking UDP socket, serviced from a
+// poll(2) loop the caller drives; the transport never blocks. Every
+// frame is one datagram of at most kMaxDatagramBytes (runtime/wire.hpp):
+// sending a larger one is a contract violation, and a larger datagram
+// arriving is counted as malformed without being decoded, so one
+// datagram costs the receiver at most one bounded buffer.
 //
 // Zero-alloc discipline across the syscall boundary:
 //   * sends encode into one reused buffer (encodeFrame clears, capacity
@@ -54,16 +53,13 @@ class UdpTransport final : public net::Transport {
  public:
   struct Config {
     NodeId selfId = 0;
-    /// UDP + TCP listen port; 0 binds an ephemeral port (see listenPort).
+    /// UDP listen port; 0 binds an ephemeral port (see listenPort).
     std::uint16_t port = 0;
-    /// Frames up to this many bytes go as one datagram; larger ones take
-    /// the TCP fallback. Conservative default below typical path MTUs.
-    std::uint32_t mtuBytes = 1400;
     /// Cap on datagrams parked in the EWOULDBLOCK retry queue.
     std::uint32_t maxQueuedSends = 1024;
   };
 
-  /// Binds both sockets. Throws std::runtime_error when sockets are
+  /// Binds the socket. Throws std::runtime_error when sockets are
   /// unavailable (sandboxes without network) — callers treat that as
   /// "runtime not supported here" (tests skip).
   UdpTransport(const Config& config, PeerTable& peers,
@@ -73,7 +69,8 @@ class UdpTransport final : public net::Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  // net::Transport — encode and transmit one gossip frame.
+  // net::Transport — encode and transmit one gossip frame. Requires the
+  // frame to fit one datagram (see gossipFrameBytes).
   void send(NodeId to, net::Message&& msg) override;
 
   /// Sends a payload-free bootstrap frame (HELLO/WELCOME) to an explicit
@@ -88,15 +85,15 @@ class UdpTransport final : public net::Transport {
   /// The resolved listen port (differs from Config::port when that was 0).
   std::uint16_t listenPort() const noexcept { return port_; }
 
-  /// Appends this transport's pollable fds to `fds` (POLLIN always;
-  /// POLLOUT where a write is parked). The caller polls, then calls
-  /// service() — the transport re-checks readiness itself, so the caller
-  /// never has to map entries back.
+  /// Appends this transport's socket to `fds` (POLLIN always; POLLOUT
+  /// while a write is parked). The caller polls, then calls service() —
+  /// the transport re-checks readiness itself, so the caller never has
+  /// to map entries back.
   void addPollFds(std::vector<::pollfd>& fds) const;
 
   /// Drains everything currently ready: receives and dispatches frames,
-  /// accepts and reads fallback connections, flushes parked writes.
-  /// Never blocks. Returns the number of frames dispatched.
+  /// flushes parked writes. Never blocks. Returns the number of frames
+  /// dispatched.
   std::uint32_t service();
 
   /// poll(timeoutMs) on this transport's fds alone, then service().
@@ -108,32 +105,21 @@ class UdpTransport final : public net::Transport {
   std::uint64_t datagramsReceived() const noexcept {
     return datagramsReceived_;
   }
-  std::uint64_t fallbackSent() const noexcept { return fallbackSent_; }
-  std::uint64_t fallbackReceived() const noexcept { return fallbackReceived_; }
   std::uint64_t droppedNoAddress() const noexcept { return droppedNoAddress_; }
-  /// Frames that failed to decode, gossip frames without a payload, and
-  /// payloads naming a node id outside the population.
+  /// Datagrams above kMaxDatagramBytes, frames that failed to decode,
+  /// gossip frames without a payload, and payloads naming a node id
+  /// outside the population.
   std::uint64_t droppedMalformed() const noexcept { return droppedMalformed_; }
   std::uint64_t droppedBacklog() const noexcept { return droppedBacklog_; }
-  /// Frames lost to a hard socket error (sendto unreachable/refused, or
-  /// a fallback socket/connect that failed outright). These were never
-  /// on the wire, so they are *not* part of datagramsSent().
+  /// Frames lost to a hard socket error (sendto unreachable/refused).
+  /// These were never on the wire, so they are *not* part of
+  /// datagramsSent().
   std::uint64_t droppedSendError() const noexcept { return droppedSendError_; }
   std::uint64_t retriedSends() const noexcept { return retriedSends_; }
   /// The EWOULDBLOCK retry pool (diagnostics, like the engine's).
   const net::MessagePool& retryPool() const noexcept { return retryPool_; }
 
  private:
-  struct TcpOut {
-    int fd = -1;
-    std::vector<std::uint8_t> bytes;  // u32 length prefix + frame
-    std::size_t written = 0;
-  };
-  struct TcpIn {
-    int fd = -1;
-    std::vector<std::uint8_t> bytes;
-  };
-
   /// What became of one sendto() attempt of sendBuf_.
   enum class SendOutcome : std::uint8_t {
     kSent,     ///< handed to the kernel
@@ -141,28 +127,25 @@ class UdpTransport final : public net::Transport {
     kFailed,   ///< hard error (unreachable, refused, ...): frame is lost
   };
 
-  void buildAnnex(const net::Message& msg);
   void transmit(NodeId to, const PeerAddress& addr, net::Message& msg);
+  /// Encodes `msg` into sendBuf_ with an annex of the addresses known
+  /// for its entries.
+  void encodeGossip(const net::Message& msg);
+  /// Sends sendBuf_, which must fit one datagram (kMaxDatagramBytes).
   SendOutcome sendDatagram(const PeerAddress& addr);
-  void startFallback(const PeerAddress& addr);
   void flushRetryQueue();
-  void flushFallbacks();
   void receiveDatagrams();
-  void acceptFallbacks();
-  void readFallbacks();
   /// Decodes and dispatches one frame arriving from `fromIp`.
   void handleFrame(std::span<const std::uint8_t> bytes, std::uint32_t fromIp);
 
   NodeId selfId_;
   std::uint16_t port_ = 0;
-  std::uint32_t mtu_;
   std::uint32_t maxQueuedSends_;
   PeerTable& peers_;
   net::DeliverySink& sink_;
   FrameHandler* frameHandler_ = nullptr;
 
   int udpFd_ = -1;
-  int tcpFd_ = -1;
 
   // send path scratch
   std::vector<std::uint8_t> sendBuf_;
@@ -170,19 +153,16 @@ class UdpTransport final : public net::Transport {
   net::MessagePool retryPool_;
   std::vector<net::MessagePool::Slot> retryQueue_;
 
-  // receive path scratch
+  // receive path scratch: one byte past the bound, so an oversized
+  // datagram shows as a full buffer
   std::vector<std::uint8_t> recvBuf_;
   net::Message recvMsg_;
   std::vector<AddressEntry> recvAnnex_;
 
-  std::vector<TcpOut> tcpOut_;
-  std::vector<TcpIn> tcpIn_;
   std::uint32_t dispatched_ = 0;  // frames dispatched by current service()
 
   std::uint64_t datagramsSent_ = 0;
   std::uint64_t datagramsReceived_ = 0;
-  std::uint64_t fallbackSent_ = 0;
-  std::uint64_t fallbackReceived_ = 0;
   std::uint64_t droppedNoAddress_ = 0;
   std::uint64_t droppedMalformed_ = 0;
   std::uint64_t droppedBacklog_ = 0;

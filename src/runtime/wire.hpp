@@ -20,6 +20,12 @@
 // and WELCOME are payload-free bootstrap frames whose annex carries the
 // joiner's (HELLO) and the seed's known peers' (WELCOME) addresses.
 //
+// One frame is one UDP datagram of at most kMaxDatagramBytes. The
+// protocols only ever send a bounded view slice, one multicast message
+// or a bounded digest window, so gossipFrameBytes() bounds every frame
+// a configuration can build, and NodeProcess refuses at start one whose
+// largest frame would not fit.
+//
 // Decoding reuses net::codec's ByteReader and CodecError (typed kinds),
 // so one hardened error surface covers both layers; malformed frames of
 // either layer are counted and dropped by the transport, never fatal.
@@ -41,10 +47,32 @@ inline constexpr std::uint8_t kFrameVersion = 1;
 /// Fixed bytes before the payload (through the len field).
 inline constexpr std::size_t kFrameHeaderBytes = 14;
 
-/// Caps mirroring net::codec's hostile-input stance: one frame can make
-/// the decoder hold at most ~1 MiB of payload and a bounded annex.
+/// The largest frame, and so the largest datagram, the runtime sends or
+/// reads: below typical path MTUs, so no frame relies on IP
+/// fragmentation. A larger frame is a contract violation at send and
+/// malformed at receive.
+inline constexpr std::size_t kMaxDatagramBytes = 1400;
+
+/// Decoder caps mirroring net::codec's hostile-input stance. A datagram
+/// is too small to reach them; they keep decodeFrame's own contract for
+/// bytes of any length.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 inline constexpr std::uint32_t kMaxAnnexEntries = 1024;
+
+/// Encoded bytes of a payload-free frame (HELLO, WELCOME) whose annex
+/// holds `annex` addresses of {u32 node, u32 ipv4, u16 port}.
+constexpr std::size_t controlFrameBytes(std::size_t annex) noexcept {
+  return kFrameHeaderBytes + 2 + 10 * annex;
+}
+
+/// Encoded bytes of the largest GOSSIP frame whose net::codec payload
+/// holds `entries` view entries and `ids` digest ids: the payload's 28
+/// fixed bytes, 8 per entry and per id, and an annex address for every
+/// entry. 44 fixed bytes, 18 per entry, 8 per id.
+constexpr std::size_t gossipFrameBytes(std::size_t entries,
+                                       std::size_t ids = 0) noexcept {
+  return controlFrameBytes(entries) + 28 + 8 * entries + 8 * ids;
+}
 
 enum class FrameKind : std::uint8_t {
   kGossip = 1,   ///< carries one net::codec Message payload

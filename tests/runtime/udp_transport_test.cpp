@@ -13,9 +13,12 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "common/expect.hpp"
+#include "common/rng.hpp"
 #include "gossip/cyclon.hpp"
 #include "net/delivery_sink.hpp"
 #include "runtime/bootstrap.hpp"
@@ -78,6 +81,22 @@ bool pumpUntil(Endpoint& a, Endpoint& b, Done done) {
   return done();
 }
 
+/// Sends `bytes` as one datagram from a fresh socket to 127.0.0.1:`port`;
+/// true when the kernel took all of it.
+bool sendRaw(std::uint16_t port, std::span<const std::uint8_t> bytes) {
+  const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (raw < 0) return false;
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_port = htons(port);
+  dst.sin_addr.s_addr = htonl(0x7F000001);
+  const auto sent =
+      ::sendto(raw, bytes.data(), bytes.size(), 0,
+               reinterpret_cast<const sockaddr*>(&dst), sizeof(dst));
+  ::close(raw);
+  return sent == static_cast<ssize_t>(bytes.size());
+}
+
 net::Message dataMessage(NodeId from, std::size_t entryCount) {
   net::Message m;
   m.kind = net::MessageKind::Data;
@@ -105,7 +124,6 @@ TEST(UdpTransport, DeliversGossipOverLoopback) {
   ASSERT_EQ(item.msg.entries.size(), 3u);
   EXPECT_EQ(a->transport.datagramsSent(), 1u);
   EXPECT_EQ(b->transport.datagramsReceived(), 1u);
-  EXPECT_EQ(b->transport.fallbackReceived(), 0u);
 }
 
 TEST(UdpTransport, ReceiverLearnsSenderAddressFromFrame) {
@@ -161,20 +179,47 @@ TEST(UdpTransport, HardSendErrorIsCountedNotSent) {
   EXPECT_EQ(a->transport.droppedSendError(), 1u);
 }
 
-TEST(UdpTransport, OversizedFrameTakesTcpFallback) {
+TEST(UdpTransport, FrameAboveTheBoundIsAContractViolation) {
   auto pair = makePair();
   SKIP_WITHOUT_SOCKETS(pair);
   auto& [a, b] = *pair;
   a->peers.learn(1, b->addr(), AddressSource::kSelf);
 
-  // 200 entries x 8 bytes each is well over the 1400-byte MTU.
-  a->transport.send(1, dataMessage(0, 200));
-  ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
-
+  // 200 entries x 8 bytes each is well over kMaxDatagramBytes.
+  EXPECT_THROW(a->transport.send(1, dataMessage(0, 200)), ContractViolation);
   EXPECT_EQ(a->transport.datagramsSent(), 0u);
-  EXPECT_EQ(a->transport.fallbackSent(), 1u);
-  EXPECT_EQ(b->transport.fallbackReceived(), 1u);
-  EXPECT_EQ(b->sink.received.front().msg.entries.size(), 200u);
+
+  // Loopback keeps one socket's datagrams in order, so the frame that
+  // fits arriving as the first and only one proves nothing went before.
+  a->transport.send(1, dataMessage(0, 1));
+  ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
+  for (int i = 0; i < 5; ++i) b->transport.pump(2);
+  EXPECT_EQ(b->transport.datagramsReceived(), 1u);
+  ASSERT_EQ(b->sink.received.size(), 1u);
+  EXPECT_EQ(b->sink.received.front().msg.entries.size(), 1u);
+}
+
+TEST(UdpTransport, DatagramAboveTheBoundIsMalformedUnread) {
+  auto pair = makePair();
+  SKIP_WITHOUT_SOCKETS(pair);
+  auto& [a, b] = *pair;
+
+  // Well-formed GOSSIP frames without an annex: 44 + 8 bytes per entry.
+  // 170 entries take 1,404 bytes, over the bound; 169 take 1,396.
+  for (const std::size_t entries : {170u, 169u}) {
+    const net::Message payload = dataMessage(0, entries);
+    std::vector<std::uint8_t> frame;
+    encodeFrame({FrameKind::kGossip, 0, a->transport.listenPort()}, &payload,
+                {}, frame);
+    ASSERT_EQ(frame.size(), 44 + 8 * entries);
+    ASSERT_TRUE(sendRaw(b->transport.listenPort(), frame));
+  }
+  ASSERT_TRUE(pumpUntil(
+      *a, *b, [&] { return b->transport.datagramsReceived() == 2; }));
+
+  EXPECT_EQ(b->transport.droppedMalformed(), 1u);
+  ASSERT_EQ(b->sink.received.size(), 1u);
+  EXPECT_EQ(b->sink.received.front().msg.entries.size(), 169u);
 }
 
 TEST(UdpTransport, MalformedDatagramIsCountedNotFatal) {
@@ -184,17 +229,8 @@ TEST(UdpTransport, MalformedDatagramIsCountedNotFatal) {
   a->peers.learn(1, b->addr(), AddressSource::kSelf);
 
   // A valid frame after garbage proves the transport keeps running.
-  int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(raw, 0);
   const std::vector<std::uint8_t> garbage = {0xDE, 0xAD, 0xBE, 0xEF};
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_port = htons(b->transport.listenPort());
-  dst.sin_addr.s_addr = htonl(0x7F000001);
-  ASSERT_GT(::sendto(raw, garbage.data(), garbage.size(), 0,
-                     reinterpret_cast<const sockaddr*>(&dst), sizeof(dst)),
-            0);
-  ::close(raw);
+  ASSERT_TRUE(sendRaw(b->transport.listenPort(), garbage));
   a->transport.send(1, dataMessage(0, 1));
   ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
   EXPECT_EQ(b->transport.droppedMalformed(), 1u);
@@ -213,21 +249,12 @@ TEST(UdpTransport, OutOfPopulationIdsAreDroppedAsMalformed) {
   net::Message forgedEntry = dataMessage(0, 0);
   forgedEntry.kind = net::MessageKind::CyclonRequest;
   forgedEntry.entries = {{1, 0}, {9, 0}};
-  int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(raw, 0);
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_port = htons(b->transport.listenPort());
-  dst.sin_addr.s_addr = htonl(0x7F000001);
   for (const net::Message& payload : {forgedFrom, forgedEntry}) {
     std::vector<std::uint8_t> frame;
     encodeFrame({FrameKind::kGossip, 0, a->transport.listenPort()}, &payload,
                 {}, frame);
-    ASSERT_GT(::sendto(raw, frame.data(), frame.size(), 0,
-                       reinterpret_cast<const sockaddr*>(&dst), sizeof(dst)),
-              0);
+    ASSERT_TRUE(sendRaw(b->transport.listenPort(), frame));
   }
-  ::close(raw);
   // A valid frame after the forged ones proves the transport keeps
   // running and that the forged payloads never reached the sink.
   a->transport.send(1, dataMessage(0, 1));
@@ -263,22 +290,120 @@ TEST(UdpTransport, AnnexHintsCannotRedirectSelfTaughtPeers) {
   const net::Message payload = dataMessage(2, 1);
   std::vector<std::uint8_t> frame;
   encodeFrame({FrameKind::kGossip, 2, forged.port}, &payload, annex, frame);
-  int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
-  ASSERT_GE(raw, 0);
-  sockaddr_in dst{};
-  dst.sin_family = AF_INET;
-  dst.sin_port = htons(a->transport.listenPort());
-  dst.sin_addr.s_addr = htonl(0x7F000001);
-  ASSERT_GT(::sendto(raw, frame.data(), frame.size(), 0,
-                     reinterpret_cast<const sockaddr*>(&dst), sizeof(dst)),
-            0);
-  ::close(raw);
+  ASSERT_TRUE(sendRaw(a->transport.listenPort(), frame));
   ASSERT_TRUE(pumpUntil(*a, *b, [&] { return a->sink.received.size() == 2; }));
 
   EXPECT_EQ(a->peers.lookup(1), b->addr());  // self-taught address kept
   EXPECT_FALSE(a->peers.knows(0));  // the entry naming A was dropped
   EXPECT_EQ(a->peers.lookup(3), forged);  // a gap: the hint fills it
   EXPECT_EQ(a->peers.lookup(2), forged);  // the sender speaks for itself
+}
+
+/// Counts the bootstrap frames a transport hands over.
+class CountingHandler final : public FrameHandler {
+ public:
+  void onFrame(const FrameHeader&, const PeerAddress&,
+               std::span<const AddressEntry>) override {
+    ++frames;
+  }
+  std::uint64_t frames = 0;
+};
+
+// Mutation fuzz of the whole receive path, through a real socket: seeded
+// mutations of valid GOSSIP, HELLO and WELCOME frames are either
+// dispatched or counted as malformed, never thrown out of service(), and
+// the sink never sees an id outside the population.
+TEST(UdpTransport, MutatedFramesAreDispatchedOrCountedMalformed) {
+  constexpr std::uint32_t kNodes = 4;
+  std::unique_ptr<Endpoint> b;
+  try {
+    b = std::make_unique<Endpoint>(1, kNodes);
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "loopback sockets unavailable here";
+  }
+  CountingHandler handler;
+  b->transport.setFrameHandler(&handler);
+
+  struct Shape {
+    FrameHeader header;
+    std::optional<net::Message> payload;
+    std::vector<AddressEntry> annex;
+  };
+  const PeerAddress somewhere{0x7F000001, 4242};
+  net::Message shuffle = dataMessage(0, 0);
+  shuffle.kind = net::MessageKind::CyclonRequest;
+  shuffle.entries = {{2, 1}, {3, 4}, {0, 0}};
+  net::Message digest = dataMessage(3, 0);
+  digest.kind = net::MessageKind::PullRequest;
+  digest.flags = net::kFlagWindowedDigest;
+  digest.ids = {0, ~std::uint64_t{0}, 7, 9};
+  const std::vector<Shape> valid = {
+      {{FrameKind::kGossip, 0, 4242}, shuffle,
+       {{2, somewhere}, {3, somewhere}}},
+      {{FrameKind::kGossip, 3, 4242}, digest, {}},
+      {{FrameKind::kGossip, 2, 4242}, dataMessage(2, 0), {}},
+      {{FrameKind::kHello, 2, 4242}, std::nullopt, {}},
+      {{FrameKind::kWelcome, 0, 4242}, std::nullopt,
+       {{2, somewhere}, {3, somewhere}, {0, somewhere}}},
+  };
+
+  Rng rng(20240611);
+  const auto outsider = [&] {
+    return static_cast<NodeId>(kNodes + rng.below(1u << 20));
+  };
+  std::vector<std::uint8_t> bytes;
+  const auto mutate = [&](Shape shape) {
+    const auto mutation = rng.below(4);
+    if (mutation == 0) {  // a sender or an entry outside the population
+      const auto where = rng.below(3);
+      if (where == 0) {
+        shape.header.sender = outsider();
+      } else if (where == 1 && shape.payload) {
+        shape.payload->from = outsider();
+        shape.payload->entries.push_back({outsider(), 0});
+      } else {
+        shape.annex.push_back({outsider(), somewhere});
+      }
+    }
+    encodeFrame(shape.header, shape.payload ? &*shape.payload : nullptr,
+                shape.annex, bytes);
+    if (mutation == 1) {  // truncation
+      bytes.resize(rng.below(bytes.size()));
+    } else if (mutation == 2) {  // byte flips
+      for (auto flips = 1 + rng.below(4); flips > 0; --flips)
+        bytes[rng.below(bytes.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.below(255));
+    } else if (mutation == 3) {  // extension past the bound
+      bytes.resize(kMaxDatagramBytes + 1 + rng.below(64),
+                   static_cast<std::uint8_t>(rng()));
+    }
+  };
+
+  // Batches of 64 with a pump between them keep the socket's receive
+  // buffer from overflowing, so every datagram sent is examined.
+  std::uint64_t sent = 0;
+  std::uint64_t dispatched = 0;
+  for (int batch = 0; batch < 32; ++batch) {
+    for (int i = 0; i < 64; ++i) {
+      mutate(valid[rng.below(valid.size())]);
+      ASSERT_TRUE(sendRaw(b->transport.listenPort(), bytes));
+      ++sent;
+    }
+    for (int round = 0;
+         round < 500 && b->transport.datagramsReceived() < sent; ++round)
+      EXPECT_NO_THROW(dispatched += b->transport.pump(2));
+  }
+
+  EXPECT_EQ(b->transport.datagramsReceived(), sent);
+  EXPECT_EQ(b->transport.datagramsReceived(),
+            dispatched + b->transport.droppedMalformed());
+  EXPECT_GT(b->transport.droppedMalformed(), 0u);
+  EXPECT_GT(handler.frames, 0u);
+  ASSERT_FALSE(b->sink.received.empty());
+  for (const auto& item : b->sink.received) {
+    EXPECT_LT(item.msg.from, kNodes);
+    for (const auto& entry : item.msg.entries) EXPECT_LT(entry.node, kNodes);
+  }
 }
 
 // The full ladder over real sockets: a seed and a joiner, each with its

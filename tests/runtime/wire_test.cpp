@@ -67,6 +67,59 @@ TEST(Wire, EncodeReusesBufferCapacity) {
   EXPECT_NO_THROW(decodeFrame(bytes, payload, decodedAnnex));
 }
 
+/// encodeFrame's size for a GOSSIP frame whose payload holds `entries`
+/// view entries and `ids` digest ids, with an annex address per entry.
+std::size_t encodedGossipBytes(net::MessageKind kind, std::size_t entries,
+                               std::size_t ids) {
+  net::Message payload;
+  payload.kind = kind;
+  payload.from = 1;
+  std::vector<AddressEntry> annex;
+  for (std::size_t i = 0; i < entries; ++i) {
+    const auto node = static_cast<NodeId>(i);
+    payload.entries.push_back({node, 3});
+    annex.push_back({node, {0x7F000001, 9000}});
+  }
+  payload.ids.assign(ids, 42);
+  std::vector<std::uint8_t> bytes;
+  encodeFrame({FrameKind::kGossip, 1, 9000}, &payload, annex, bytes);
+  return bytes.size();
+}
+
+TEST(Wire, FrameSizeHelpersMatchEncodeFrame) {
+  using net::MessageKind;
+  EXPECT_EQ(encodedGossipBytes(MessageKind::Data, 0, 0), gossipFrameBytes(0));
+  EXPECT_EQ(gossipFrameBytes(0), 44u);
+  // A CYCLON shuffle of 8 and a VICINITY offer of 10.
+  EXPECT_EQ(encodedGossipBytes(MessageKind::CyclonRequest, 8, 0),
+            gossipFrameBytes(8));
+  EXPECT_EQ(gossipFrameBytes(8), 188u);
+  EXPECT_EQ(encodedGossipBytes(MessageKind::VicinityRequest, 10, 0),
+            gossipFrameBytes(10));
+  EXPECT_EQ(gossipFrameBytes(10), 224u);
+  // A pull digest: the default 16-id window and its two bounds.
+  EXPECT_EQ(encodedGossipBytes(MessageKind::PullRequest, 0, 18),
+            gossipFrameBytes(0, 18));
+  EXPECT_EQ(gossipFrameBytes(0, 18), 188u);
+  // A WELCOME at Bootstrap's default annexLimit of 64.
+  const std::vector<AddressEntry> annex(64, {1, {0x7F000001, 9000}});
+  std::vector<std::uint8_t> bytes;
+  encodeFrame({FrameKind::kWelcome, 0, 9000}, nullptr, annex, bytes);
+  EXPECT_EQ(bytes.size(), controlFrameBytes(64));
+  EXPECT_EQ(controlFrameBytes(64), 656u);
+}
+
+TEST(Wire, DatagramBoundFallsBetweenTheLargestShapes) {
+  // The largest CYCLON shuffle that fits one datagram is 75 entries,
+  // and the largest WELCOME annex 138 addresses.
+  EXPECT_EQ(encodedGossipBytes(net::MessageKind::CyclonRequest, 75, 0), 1394u);
+  EXPECT_EQ(encodedGossipBytes(net::MessageKind::CyclonRequest, 76, 0), 1412u);
+  EXPECT_LE(gossipFrameBytes(75), kMaxDatagramBytes);
+  EXPECT_GT(gossipFrameBytes(76), kMaxDatagramBytes);
+  EXPECT_LE(controlFrameBytes(138), kMaxDatagramBytes);
+  EXPECT_GT(controlFrameBytes(139), kMaxDatagramBytes);
+}
+
 net::CodecErrorKind decodeFailure(std::span<const std::uint8_t> bytes) {
   net::Message payload;
   std::vector<AddressEntry> annex;
